@@ -2,27 +2,33 @@
 
 Applying hom(T, -) to the resolution terms gives a complex of morphism
 spaces; its cohomology computes Ext^k(T, F) because the resolution is
-injective.  Verdicts combine the structural upper bound (terms vanish past
-the Cantor-Bendixson rank) with witnesses found by scanning a family of test
+injective.  The complex is written in closed form from the Godement
+adjunction: C^k = C0(K_k) is the product over y of the skyscrapers
+(i_y)_* K_k[y], so hom(T, C^k) = sum over y of Hom_Q(T_y, K_k[y]), and the
+map alpha_k induced by delta_(k+1) sends a family (phi_y) to the family whose
+entry at z is projections[k] at z applied to the stacked blocks
+phi_y T.res(z, y), y in U_z.  The only elimination on the Ext path is the
+rank of each alpha_k.
+
+Verdicts combine the structural upper bound (terms vanish past the
+Cantor-Bendixson rank) with witnesses found by scanning a family of test
 objects; a truncated non-terminating resolution only ever yields bounds,
 never an "infinite" claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .linalg import RatMatrix, rank, solve_matrix
+from .linalg import RatMatrix, rank
 from .godement import GodementResolution, build_resolution, projected_term_dims
 from .sheaves import (
     Sheaf,
-    SheafMap,
     constant_sheaf,
     extend_along_mono,
     hom_basis_maps,
     identity_map,
-    map_to_vector,
     random_sheaf,
     simple_sheaf,
     skyscraper,
@@ -45,13 +51,13 @@ class ExtComplex:
 
     point is the base point when T is a skyscraper there, else None.
     degrees[k] is the dimension of the k-th morphism space and alphas[k] the
-    matrix of composition with delta_(k+1) in the canonical bases.
+    matrix of composition with delta_(k+1) in the adjunction coordinates
+    (see hom_complex).
     """
 
     point: str | None
     degrees: list[int]
     alphas: list[RatMatrix]
-    bases: list[list[SheafMap]] = field(repr=False, default_factory=list)
 
     def validate(self) -> None:
         for k in range(len(self.alphas) - 1):
@@ -124,28 +130,49 @@ class DimensionVerdict:
 
 
 def hom_complex(T: Sheaf, r: GodementResolution, point: str | None = None) -> ExtComplex:
-    """Apply hom(T, -) to the resolution terms and drop the augmentation."""
-    bases = [hom_basis_maps(T, term) for term in r.terms]
-    degrees = [len(b) for b in bases]
+    """Apply hom(T, -) to the resolution terms and drop the augmentation.
+
+    Written down directly from the adjunction, with no elimination.  With
+    K_0 = F and K_k = cokers[k-1], hom(T, C^k) = sum over y of
+    Hom_Q(T_y, K_k[y]); its coordinates are the entries of the matrices phi_y,
+    points in point order, each matrix row-major, so degree k has dimension
+    sum over y of dim T_y * dim K_k[y].  A family (phi_y) is the sheaf map
+    whose component at z stacks phi_y T.res(z, y) over y in U_z.  The z-factor
+    of the unit into C^(k+1) is the identity at z, so alpha_k sends (phi_y) to
+    the family whose entry at z is projections[k].comp[z] applied to that stack.
+    """
+    space = T.base
+    dT = T.stalk_dim
+    sources = [r.sheaf] + r.cokers[: r.length - 1]
+    offsets = []
+    degrees = []
+    for K in sources:
+        off = {}
+        total = 0
+        for y in space.points:
+            off[y] = total
+            total += dT[y] * K.stalk_dim[y]
+        offsets.append(off)
+        degrees.append(total)
     alphas = []
     for k in range(r.length - 1):
-        delta = r.delta(k + 1)
-        target = RatMatrix.hstack([map_to_vector(f) for f in bases[k + 1]]) if bases[k + 1] else RatMatrix.zeros(0, 0)
-        cols = []
-        for f in bases[k]:
-            composed = map_to_vector(f.then(delta))
-            if degrees[k + 1] == 0:
-                if not composed.is_zero():
-                    raise ValueError("composite escapes the morphism space")
-                cols.append(RatMatrix.zeros(0, 1))
+        K = sources[k]
+        entries = {}
+        for z in space.points:
+            if not dT[z]:
                 continue
-            coords = solve_matrix(target, composed)
-            if coords is None:
-                raise ValueError("composite escapes the morphism space")
-            cols.append(coords)
-        alpha = RatMatrix.hstack(cols) if cols else RatMatrix.zeros(degrees[k + 1], 0)
-        alphas.append(alpha)
-    return ExtComplex(point, degrees, alphas, bases)
+            # column of C^k[z] -> (first coordinate of that row of phi_y, T.res(z, y))
+            blocks = []
+            for y in space.nbhd_sorted(z):
+                res = T.restriction(z, y).entries.items()
+                blocks.extend((offsets[k][y] + c * dT[y], res) for c in range(K.stalk_dim[y]))
+            for (a, col), p in r.projections[k].comp[z].entries.items():
+                col0, res = blocks[col]
+                row0 = offsets[k + 1][z] + a * dT[z]
+                for (d, b), v in res:
+                    entries[(row0 + b, col0 + d)] = p * v
+        alphas.append(RatMatrix(degrees[k + 1], degrees[k], entries))
+    return ExtComplex(point, degrees, alphas)
 
 
 def hom_into_resolution(x: str, r: GodementResolution) -> ExtComplex:
@@ -309,6 +336,7 @@ def category_dimension(
     for i in range(random_sheaves):
         scan.append((f"random sheaf (seed {seed + i})", random_sheaf(space, max_random_dim, seed + i)))
 
+    tests = _test_objects(space)
     lower = 0
     witness = None
     for f_label, F in scan:
@@ -317,7 +345,7 @@ def category_dimension(
         available = r.length - 1 if r.terminated else r.length - 2
         if available < 0:
             continue
-        for t_label, T in _test_objects(space):
+        for t_label, T in tests:
             c = hom_complex(T, r)
             dims = ext_dims_of_complex(c, r.terminated, available)
             top = max((k for k, d in dims.items() if d), default=None)
@@ -355,39 +383,43 @@ def _block_inclusion(r: GodementResolution, k: int, x: str) -> RatMatrix:
 def hom_cokernel_check(r: GodementResolution, x: str, complex_: ExtComplex | None = None) -> dict:
     """At a closed point, match hom(skyscraper, C^k) with the cokernel stalks.
 
-    Checks, for every degree in the resolution, that the morphism space has
-    the dimension of the (k-1)-st cokernel stalk at x, and that under the
-    block-extraction isomorphisms the induced map alpha_(k+1) is exactly
-    "include into the x-factor, then project to the next cokernel".
+    This is where the generic hom space meets the closed form of hom_complex.
+    For every degree in the resolution, the morphism space solved for by
+    elimination must have the dimension of the (k-1)-st cokernel stalk at x,
+    as must the closed form, and extracting the x-block of the component at x
+    of each basis map must be an isomorphism onto that stalk.  Those blocks
+    are the closed-form coordinates, so for each basis map f the x-block of
+    f delta_(k+1) must equal alpha_k applied to the x-block of f.
     """
     space = r.sheaf.base
     if not space.is_closed_point(x):
         raise ValueError(f"point is not closed: {x!r}")
-    c = complex_ if complex_ is not None else hom_into_resolution(x, r)
+    T = skyscraper(space, x, 1)
+    c = complex_ if complex_ is not None else hom_complex(T, r, point=x)
     checks = []
     ok = True
+    comps = []
     isos = []
+    dims_ok = []
     for k in range(r.length):
         source = r.sheaf if k == 0 else r.cokers[k - 1]
         expected = source.stalk_dim[x]
-        got = c.degrees[k]
-        # iso: extract the x-block of the component at x of each basis map
-        incl = _block_inclusion(r, k, x)
-        cols = []
-        for f in c.bases[k]:
-            block = incl.transpose() @ f.comp[x]
-            cols.append(block)
-        iso = RatMatrix.hstack(cols) if cols else RatMatrix.zeros(expected, 0)
+        basis = hom_basis_maps(T, r.terms[k])
+        got = len(basis)
+        # the components at x of the basis maps, and their x-blocks
+        comp = RatMatrix.hstack([f.comp[x] for f in basis]) if basis else RatMatrix.zeros(r.terms[k].stalk_dim[x], 0)
+        iso = _block_inclusion(r, k, x).transpose() @ comp
+        comps.append(comp)
         isos.append(iso)
-        dim_ok = expected == got
+        dim_ok = expected == got == c.degrees[k]
         iso_ok = dim_ok and rank(iso) == expected
+        dims_ok.append(dim_ok)
         checks.append({"degree": k, "hom_dim": got, "coker_stalk_dim": expected, "iso": iso_ok})
         ok = ok and dim_ok and iso_ok
     for k in range(r.length - 1):
-        induced = r.projections[k].comp[x] @ _block_inclusion(r, k, x)
-        lhs = isos[k + 1] @ c.alphas[k]
-        rhs = induced @ isos[k]
-        match = lhs == rhs
+        delta = r.units[k + 1].comp[x] @ r.projections[k].comp[x]
+        composed = _block_inclusion(r, k + 1, x).transpose() @ (delta @ comps[k])
+        match = dims_ok[k] and dims_ok[k + 1] and composed == c.alphas[k] @ isos[k]
         checks.append({"degree": k, "alpha_matches_factor_inclusion": match})
         ok = ok and match
     if r.terminated:

@@ -93,9 +93,6 @@ class GodementResolution:
             raise ValueError(f"no delta at degree {k}")
         return self.projections[k - 1].then(self.units[k])
 
-    def coker_of_delta(self, k: int) -> Sheaf:
-        return self.cokers[k]
-
     def to_json(self) -> dict:
         points = sorted(self.sheaf.base.points)
         return {

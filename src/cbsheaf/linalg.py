@@ -90,10 +90,6 @@ class RatMatrix:
         return cls(nrows, cols, entries)
 
     @classmethod
-    def column(cls, values: Sequence) -> "RatMatrix":
-        return cls.from_rows([[v] for v in values], cols=1)
-
-    @classmethod
     def hstack(cls, blocks: Sequence["RatMatrix"]) -> "RatMatrix":
         if not blocks:
             return cls.zeros(0, 0)
@@ -243,9 +239,6 @@ class SubspacePresentation:
         for (i, j), v in self.matrix.entries.items():
             cols[j][i] = v
         return [tuple(c) for c in cols]
-
-    def contains(self, vec: RatMatrix) -> bool:
-        return solve_matrix(self.matrix, vec) is not None
 
     def validate(self) -> None:
         if rank(self.matrix) != self.dim:

@@ -6,13 +6,17 @@ from cbsheaf.extdim import (
     CONJ_PERFECT_HULL,
     DimensionVerdict,
     THM_SCATTERED,
+    _test_objects,
     category_dimension,
+    ext_dims_of_complex,
     ext_groups,
+    hom_complex,
     hom_cokernel_check,
     hom_into_resolution,
     injective_dimension_bounds,
 )
 from cbsheaf.godement import build_resolution
+from cbsheaf.linalg import RatMatrix, rank
 from cbsheaf.sheaves import constant_sheaf, random_sheaf, skyscraper
 from cbsheaf.spaces import (
     discrete_space,
@@ -23,7 +27,8 @@ from cbsheaf.spaces import (
     sierpinski_space,
     star_space,
 )
-from corpus import random_preorder_space
+from corpus import random_preorder_space, space_sheaf_corpus
+from oracle import adjunction_coordinates, generic_hom_complex
 
 
 class TestHomIntoResolution:
@@ -58,6 +63,36 @@ class TestHomIntoResolution:
             r = build_resolution(F, 4)
             for x in s.points:
                 hom_into_resolution(x, r).validate()
+
+    def test_closed_form_matches_generic_oracle(self):
+        corpus = space_sheaf_corpus(20)
+        resolutions = [build_resolution(F, max_len) for _, F, max_len in corpus]
+        # the corpus must reach non-T0 clusters and truncated resolutions
+        assert any(len(s.point_class(x)) > 1 for s, _, _ in corpus for x in s.points)
+        assert not all(r.terminated for r in resolutions)
+        for i, ((s, _, _), r) in enumerate(zip(corpus, resolutions)):
+            available = r.length - 1 if r.terminated else r.length - 2
+            tests = _test_objects(s) + [("random sheaf", random_sheaf(s, 2, 100 + i))]
+            sources = [r.sheaf] + r.cokers[: r.length - 1]
+            for label, T in tests:
+                c = hom_complex(T, r)
+                g, bases = generic_hom_complex(T, r)
+                assert c.degrees == g.degrees, (i, label)
+                # the adjunction iso carries the generic alphas onto the closed form
+                isos = [
+                    RatMatrix.hstack([adjunction_coordinates(f, K) for f in basis])
+                    if basis else RatMatrix.zeros(d, 0)
+                    for basis, K, d in zip(bases, sources, c.degrees)
+                ]
+                assert [rank(e) for e in isos] == c.degrees, (i, label)
+                for k, a in enumerate(c.alphas):
+                    assert isos[k + 1] @ g.alphas[k] == a @ isos[k], (i, label, k)
+                assert [rank(a) for a in c.alphas] == [rank(a) for a in g.alphas], (i, label)
+                c.validate()
+                if available >= 0:
+                    assert ext_dims_of_complex(c, r.terminated, available) == ext_dims_of_complex(
+                        g, r.terminated, available
+                    ), (i, label)
 
 
 class TestExtGroups:
@@ -213,6 +248,23 @@ class TestHomCokernelCheck:
         s = product(star_space(2), star_space(2))
         r = build_resolution(constant_sheaf(s, 1))
         assert hom_cokernel_check(r, "(c,c)")["ok"]
+
+    def test_perturbed_alpha_fails(self):
+        # the pairing check tests the closed form against composition with
+        # delta, so changing any single entry of any alpha_k must be caught
+        for s, x in ((star_space(3), "c"), (product(star_space(2), star_space(2)), "(c,c)")):
+            r = build_resolution(constant_sheaf(s, 1))
+            assert hom_cokernel_check(r, x, complex_=hom_into_resolution(x, r))["ok"]
+            perturbed = 0
+            for k in range(r.length - 1):
+                c = hom_into_resolution(x, r)
+                a = c.alphas[k]
+                if not a.rows or not a.cols:
+                    continue
+                c.alphas[k] = a + RatMatrix(a.rows, a.cols, {(a.rows - 1, 0): 1})
+                assert not hom_cokernel_check(r, x, complex_=c)["ok"], (x, k)
+                perturbed += 1
+            assert perturbed
 
     def test_rejects_open_point(self):
         s = star_space(2)
