@@ -72,10 +72,6 @@ class ExtReport:
     point: str | None
     ext_dims: dict[int, int]
 
-    def max_nonzero_degree(self) -> int | None:
-        nz = [k for k, d in self.ext_dims.items() if d]
-        return max(nz) if nz else None
-
     def to_json(self) -> dict:
         return {str(k): self.ext_dims[k] for k in sorted(self.ext_dims)}
 
@@ -171,7 +167,7 @@ def hom_complex(T: Sheaf, r: GodementResolution, point: str | None = None) -> Ex
                 row0 = offsets[k + 1][z] + a * dT[z]
                 for (d, b), v in res:
                     entries[(row0 + b, col0 + d)] = p * v
-        alphas.append(RatMatrix(degrees[k + 1], degrees[k], entries))
+        alphas.append(RatMatrix._trusted(degrees[k + 1], degrees[k], entries))
     return ExtComplex(point, degrees, alphas)
 
 
@@ -248,6 +244,8 @@ def _test_objects(space: FiniteSpace, extra: Sequence[tuple[str, Sheaf]] = ()) -
 
 def _resolution_cap(space: FiniteSpace, dims: Mapping[str, int], requested: int | None, stalk_cap: int) -> int:
     """Longest resolution whose projected term stalks stay within stalk_cap."""
+    if requested is not None and requested < 1:
+        raise ValueError("max_len must be >= 1")
     limit = requested if requested is not None else len(space.points) + 2
     terms, _ = projected_term_dims(space, dims, limit)
     length = 0
@@ -316,6 +314,10 @@ def category_dimension(
     non-scattered space only bounds are reported, with the perfect-hull case
     recorded as conjectural.
     """
+    if random_sheaves < 0:
+        raise ValueError("random_sheaves must be >= 0")
+    if max_len is not None and max_len < 1:
+        raise ValueError("max_len must be >= 1")
     if not space.points:
         return DimensionVerdict.trivial_category()
     scattered_part, hull = space.decompose()

@@ -11,6 +11,7 @@ flagged outcome rather than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 from .linalg import RatMatrix
@@ -41,8 +42,8 @@ def _c0_with_unit(F: Sheaf) -> tuple[Sheaf, SheafMap]:
                 src = layout[x][y]
                 dst = layout[z][y]
                 for i in range(F.stalk_dim[y]):
-                    entries[(dst + i, src + i)] = 1
-            res[(x, z)] = RatMatrix(dims[z], dims[x], entries)
+                    entries[(dst + i, src + i)] = Fraction(1)
+            res[(x, z)] = RatMatrix._trusted(dims[z], dims[x], entries)
     C = Sheaf(space, dims, res)
     comp = {}
     for x in space.points:
@@ -51,7 +52,7 @@ def _c0_with_unit(F: Sheaf) -> tuple[Sheaf, SheafMap]:
             off = layout[x][y]
             for (i, j), v in F.restriction(x, y).entries.items():
                 entries[(off + i, j)] = v
-        comp[x] = RatMatrix(dims[x], F.stalk_dim[x], entries)
+        comp[x] = RatMatrix._trusted(dims[x], F.stalk_dim[x], entries)
     return C, SheafMap(F, C, comp)
 
 

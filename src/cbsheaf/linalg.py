@@ -3,12 +3,19 @@
 Matrices are sparse maps (row, col) -> Fraction with no stored zeros.  All
 arithmetic is exact: there are no floats and no tolerances anywhere, so any
 pipeline built on these routines is bit-for-bit reproducible.
+
+Invariant: `entries` maps in-bounds keys to nonzero `Fraction`s.  Validation
+happens only at the boundary: the public `RatMatrix(...)` constructor,
+`from_rows` and the JSON loaders check every entry.  Results computed here
+satisfy the invariant by construction and are built by `RatMatrix._trusted`
+without re-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 Rat = Fraction
@@ -67,27 +74,30 @@ class RatMatrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "RatMatrix":
+        """Wrap entries that already satisfy the invariant, without checking."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        if n < 0:
+            raise ValueError("negative matrix dimension")
+        return cls._trusted(n, n, {(i, i): Fraction(1) for i in range(n)})
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
         nrows = len(data)
         if cols is None:
             cols = len(data[0]) if nrows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, value in enumerate(row):
-                v = rat_from(value)
-                if v:
-                    entries[(i, j)] = v
-        return cls(nrows, cols, entries)
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return cls(nrows, cols, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
 
     @classmethod
     def hstack(cls, blocks: Sequence["RatMatrix"]) -> "RatMatrix":
@@ -102,7 +112,7 @@ class RatMatrix:
             for (i, j), v in b.entries.items():
                 entries[(i, off + j)] = v
             off += b.cols
-        return cls(rows, off, entries)
+        return cls._trusted(rows, off, entries)
 
     @classmethod
     def vstack(cls, blocks: Sequence["RatMatrix"]) -> "RatMatrix":
@@ -117,7 +127,7 @@ class RatMatrix:
             for (i, j), v in b.entries.items():
                 entries[(off + i, j)] = v
             off += b.rows
-        return cls(off, cols, entries)
+        return cls._trusted(off, cols, entries)
 
     # -- access -------------------------------------------------------------
 
@@ -146,7 +156,7 @@ class RatMatrix:
             t = pos.get(j)
             if t is not None:
                 entries[(i, t)] = v
-        return RatMatrix(self.rows, len(indices), entries)
+        return RatMatrix._trusted(self.rows, len(indices), entries)
 
     def take_rows(self, indices: Sequence[int]) -> "RatMatrix":
         pos = {i: t for t, i in enumerate(indices)}
@@ -155,7 +165,7 @@ class RatMatrix:
             t = pos.get(i)
             if t is not None:
                 entries[(t, j)] = v
-        return RatMatrix(len(indices), self.cols, entries)
+        return RatMatrix._trusted(len(indices), self.cols, entries)
 
     @property
     def nnz(self) -> int:
@@ -171,7 +181,7 @@ class RatMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return RatMatrix._trusted(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -185,7 +195,7 @@ class RatMatrix:
                 key = (i, j)
                 s = acc.get(key)
                 acc[key] = a * b if s is None else s + a * b
-        return RatMatrix(self.rows, other.cols, acc)
+        return RatMatrix._trusted(self.rows, other.cols, {k: v for k, v in acc.items() if v})
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -194,7 +204,7 @@ class RatMatrix:
         for key, v in other.entries.items():
             s = acc.get(key)
             acc[key] = v if s is None else s + v
-        return RatMatrix(self.rows, self.cols, acc)
+        return RatMatrix._trusted(self.rows, self.cols, {k: v for k, v in acc.items() if v})
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + other.scaled(-1)
@@ -204,9 +214,7 @@ class RatMatrix:
 
     def scaled(self, c) -> "RatMatrix":
         c = rat_from(c)
-        if not c:
-            return RatMatrix(self.rows, self.cols)
-        return RatMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
+        return RatMatrix._trusted(self.rows, self.cols, {k: c * v for k, v in self.entries.items()} if c else {})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
@@ -326,26 +334,48 @@ def rref(m: RatMatrix, force: str | None = None) -> tuple[RatMatrix, tuple[int, 
     else:
         rows, pivots = _rref_sparse(m.row_dicts(), m.cols)
     entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-    return RatMatrix(m.rows, m.cols, entries), tuple(pivots)
+    return RatMatrix._trusted(m.rows, m.cols, entries), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
+    """Rank by fraction-free forward elimination (Bareiss 1968), with no reduced form.
+
+    Rows are scaled to integers by the lcm of their denominators and filed
+    under their leading column.  Column by column, one row p filed there is
+    the pivot; every other row r there becomes b r - a p (a, b the two leading
+    entries over their gcd), has its content divided out, and is filed again
+    under its new leading column, which lies further right.
+    """
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in m.row_dicts():
+        if row:
+            den = lcm(*(v.denominator for v in row.values()))
+            buckets.setdefault(min(row), []).append({j: v.numerator * (den // v.denominator) for j, v in row.items()})
+    pivots = 0
+    for c in range(m.cols):
+        if c not in buckets:
+            continue
+        pivot, *others = sorted(buckets.pop(c), key=len)
+        pivots += 1
+        for row in others:
+            g = gcd(row[c], pivot[c])
+            a, b = row[c] // g, pivot[c] // g
+            new = {j: b * v for j, v in row.items()}
+            for j, v in pivot.items():
+                new[j] = new.get(j, 0) - a * v
+            new = {j: v for j, v in new.items() if v}
+            if new:
+                g = gcd(*new.values())
+                buckets.setdefault(min(new), []).append({j: v // g for j, v in new.items()})
+    return pivots
 
 
 def kernel_basis(m: RatMatrix) -> SubspacePresentation:
-    """Basis of the null space {v : m v = 0}, parametrized by free columns."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    entries = {}
-    for t, fc in enumerate(free):
-        entries[(fc, t)] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v = reduced.get(i, fc)
-            if v:
-                entries[(pc, t)] = -v
-    return SubspacePresentation(m.cols, RatMatrix(m.cols, len(free), entries))
+    """Basis of the null space {v : m v = 0}, parametrized by free columns.
+
+    It is the transpose of the cokernel projection of m^T.
+    """
+    return SubspacePresentation(m.cols, _cokernel_parts(m.transpose())[0].transpose())
 
 
 def image_basis(m: RatMatrix) -> SubspacePresentation:
@@ -354,24 +384,33 @@ def image_basis(m: RatMatrix) -> SubspacePresentation:
     return SubspacePresentation(m.rows, m.take_columns(pivots))
 
 
-def cokernel(m: RatMatrix) -> tuple[RatMatrix, int]:
-    """A canonical surjection q from the codomain of m with kernel image(m).
+def _cokernel_parts(m: RatMatrix) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
+    """q, a section s with q s = I, and a basis of im m, from one rref of m^T.
 
-    q projects onto the non-pivot coordinates of the row-reduced image basis
-    (pivot columns of rref of the transpose fix the complement), so repeated
-    runs always produce the same quotient bases.
+    q projects onto the non-pivot coordinates of the row-reduced image basis,
+    so the quotient bases are canonical.  Column j_t of q is e_t for the t-th
+    free coordinate j_t, so s is the inclusion of the free coordinates.  The
+    nonzero reduced rows span im m; transposed, they are the image basis.
     """
     reduced, pivots = rref(m.transpose())
     pivot_set = set(pivots)
     free = [j for j in range(m.rows) if j not in pivot_set]
-    entries = {}
-    for t, j in enumerate(free):
-        entries[(t, j)] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v = reduced.get(i, j)
-            if v:
-                entries[(t, pc)] = -v
-    return RatMatrix(len(free), m.rows, entries), len(free)
+    slot = {j: t for t, j in enumerate(free)}
+    q = {(t, j): Fraction(1) for j, t in slot.items()}
+    img = {}
+    for (i, j), v in reduced.entries.items():
+        img[(j, i)] = v
+        t = slot.get(j)
+        if t is not None:
+            q[(t, pivots[i])] = -v
+    section = RatMatrix._trusted(m.rows, len(free), {(j, t): Fraction(1) for j, t in slot.items()})
+    return RatMatrix._trusted(len(free), m.rows, q), section, RatMatrix._trusted(m.rows, len(pivots), img)
+
+
+def cokernel(m: RatMatrix) -> tuple[RatMatrix, int]:
+    """A canonical surjection q from the codomain of m with kernel image(m)."""
+    q = _cokernel_parts(m)[0]
+    return q, q.rows
 
 
 def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
@@ -391,7 +430,7 @@ def solve_matrix(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
             v = reduced.get(i, a.cols + j)
             if v:
                 entries[(p, j)] = v
-    return RatMatrix(a.cols, b.cols, entries)
+    return RatMatrix._trusted(a.cols, b.cols, entries)
 
 
 def right_inverse(m: RatMatrix) -> RatMatrix:

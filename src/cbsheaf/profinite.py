@@ -325,9 +325,9 @@ def finite_model(e: SpaceExpr, branches: int = 2, *, surrogate_hull: bool = Fals
     if summary.rank == OMEGA or (summary.hull_nonempty and not surrogate_hull):
         raise ValueError(f"not finitely modelable: {print_expr(e)}")
     model = _build_model(e, branches, surrogate_hull)
-    assert model.cb_rank() == summary.rank
-    assert bool(model.cb_filtration().stable) == summary.hull_nonempty
-    assert is_branch_rich(model)
+    found = (model.cb_rank(), bool(model.cb_filtration().stable), is_branch_rich(model))
+    if found != (summary.rank, summary.hull_nonempty, True):
+        raise ValueError(f"finite model does not match the Cantor-Bendixson data of {print_expr(e)}")
     return model
 
 

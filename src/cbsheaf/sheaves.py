@@ -14,19 +14,8 @@ import json
 import random
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import (
-    RatMatrix,
-    SubspacePresentation,
-    cokernel,
-    image_basis,
-    induced_map,
-    kernel_basis,
-    rank,
-    rat_from,
-    right_inverse,
-    solve_matrix,
-)
-from .spaces import FiniteSpace
+from .linalg import RatMatrix, SubspacePresentation, _cokernel_parts, induced_map, kernel_basis, rank, solve_matrix
+from .spaces import FiniteSpace, _json
 
 
 class Sheaf:
@@ -305,31 +294,20 @@ def sheaf_kernel(f: SheafMap) -> tuple[Sheaf, SheafMap]:
 
 
 def sheaf_cokernel(f: SheafMap) -> tuple[Sheaf, SheafMap]:
-    """Stalkwise cokernel with induced restrictions and its projection."""
+    """Stalkwise cokernel with induced restrictions and its projection.
+
+    One elimination per stalk gives q_x, a section s_x and a basis of im f_x;
+    once q_y f kills that basis, q_y f s_x is the unique g with g q_x = q_y f.
+    """
     space = f.source.base
-    proj = {}
-    dims = {}
-    section = {}
-    img = {}
-    for x in space.points:
-        q, d = cokernel(f.comp[x])
-        proj[x] = q
-        dims[x] = d
-        section[x] = right_inverse(q)
-        img[x] = image_basis(f.comp[x]).matrix
+    parts = {x: _cokernel_parts(f.comp[x]) for x in space.points}
+    proj = {x: q for x, (q, _, _) in parts.items()}
     res = {}
-    for x in space.points:
+    for x, (q, section, img) in parts.items():
         for y in space.min_nbhd[x]:
-            if y == x:
-                continue
-            res[(x, y)] = induced_map(
-                f.target.restriction(x, y),
-                proj[x],
-                proj[y],
-                kernel=img[x],
-                section=section[x],
-            )
-    K = Sheaf(space, dims, res)
+            if y != x:
+                res[(x, y)] = induced_map(f.target.restriction(x, y), q, proj[y], kernel=img, section=section)
+    K = Sheaf(space, {x: q.rows for x, q in proj.items()}, res)
     return K, SheafMap(f.target, K, proj)
 
 
@@ -570,13 +548,16 @@ def sheaf_to_json(F: Sheaf) -> dict:
 
 
 def sheaf_from_json(space: FiniteSpace, doc: Mapping) -> Sheaf:
-    dims = {str(x): int(d) for x, d in doc.get("stalk_dims", {}).items()}
+    dims = _json(_json(doc, dict, "sheaf document").get("stalk_dims", {}), dict, "'stalk_dims'")
+    if not all(type(d) is int for d in dims.values()):
+        raise ValueError("'stalk_dims' must map each point to an integer")
     res = {}
-    for key, rows in doc.get("res", {}).items():
+    for key, rows in _json(doc.get("res", {}), dict, "'res'").items():
         if "->" not in key:
             raise ValueError(f"bad restriction key: {key!r}")
         x, y = key.split("->", 1)
-        m = RatMatrix.from_rows([[rat_from(v) for v in row] for row in rows], cols=dims.get(x, 0))
+        rows = [_json(row, list, f"a row of {key!r}") for row in _json(rows, list, f"restriction {key!r}")]
+        m = RatMatrix.from_rows(rows, cols=dims.get(x, 0))
         if x == y:
             if m != RatMatrix.identity(dims.get(x, 0)):
                 raise ValueError(f"restriction {key!r} must be the identity")

@@ -181,7 +181,8 @@ class FiniteSpace:
             levels = [frozenset(self.points)]
             while len(levels) < 2 or levels[-1] != levels[-2]:
                 levels.append(levels[-1] - self.isolated_points(levels[-1]))
-            assert len(levels) <= len(self.points) + 2
+            if len(levels) > len(self.points) + 2:
+                raise ValueError("Cantor-Bendixson filtration did not stabilize")
             self._filtration = CbFiltration(tuple(levels))
         return self._filtration
 
@@ -235,7 +236,8 @@ def disjoint_union(a: FiniteSpace, b: FiniteSpace) -> FiniteSpace:
     nbhd = {rename_a[x]: {rename_a[y] for y in a.min_nbhd[x]} for x in a.points}
     nbhd.update({rename_b[x]: {rename_b[y] for y in b.min_nbhd[x]} for x in b.points})
     space = FiniteSpace(points, nbhd, validate=False)
-    assert space.cb_rank() == max(a.cb_rank(), b.cb_rank())
+    if space.cb_rank() != max(a.cb_rank(), b.cb_rank()):
+        raise ValueError("disjoint union changed the Cantor-Bendixson rank")
     return space
 
 
@@ -309,14 +311,29 @@ def space_to_json(space: FiniteSpace) -> dict:
     }
 
 
+def _json(value, kind: type, what: str):
+    """value when it has the JSON type kind (dict or list); else a ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _names(value, what: str) -> list[str]:
+    if not all(isinstance(v, (str, int)) for v in _json(value, list, what)):
+        raise ValueError(f"{what} must list point names")
+    return [str(v) for v in value]
+
+
 def space_from_json(doc: Mapping) -> FiniteSpace:
-    if "points" not in doc:
+    if "points" not in _json(doc, dict, "space document"):
         raise ValueError("space document needs a 'points' field")
-    points = [str(p) for p in doc["points"]]
+    points = _names(doc["points"], "'points'")
     if "min_nbhd" in doc:
-        return FiniteSpace(points, {str(k): [str(v) for v in vs] for k, vs in doc["min_nbhd"].items()})
+        nbhd = _json(doc["min_nbhd"], dict, "'min_nbhd'")
+        return FiniteSpace(points, {str(k): _names(vs, f"'min_nbhd' of {k!r}") for k, vs in nbhd.items()})
     if "opens" in doc:
-        return FiniteSpace.from_open_sets(points, [[str(v) for v in o] for o in doc["opens"]])
+        opens = _json(doc["opens"], list, "'opens'")
+        return FiniteSpace.from_open_sets(points, [_names(o, "an open set") for o in opens])
     raise ValueError("space document needs either 'min_nbhd' or 'opens'")
 
 

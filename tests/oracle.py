@@ -1,8 +1,8 @@
 """Reference paths that the library's fast constructions are checked against."""
 
 from cbsheaf.extdim import ExtComplex
-from cbsheaf.linalg import RatMatrix, solve_matrix
-from cbsheaf.sheaves import hom_basis_maps, map_to_vector
+from cbsheaf.linalg import RatMatrix, cokernel, image_basis, induced_map, right_inverse, solve_matrix
+from cbsheaf.sheaves import Sheaf, SheafMap, hom_basis_maps, map_to_vector
 
 
 def generic_hom_complex(T, r, point=None):
@@ -48,3 +48,34 @@ def adjunction_coordinates(f, K):
                 entries[(total + (i - off) * dT + j, 0)] = v
         total += K.stalk_dim[y] * dT
     return RatMatrix(total, 1, entries)
+
+
+def three_elimination_sheaf_cokernel(f):
+    """The stalkwise cokernel of f with three eliminations per stalk: the
+    projection from cokernel, a section solved for by right_inverse, and the
+    image basis of the original pivot columns."""
+    space = f.source.base
+    proj = {}
+    dims = {}
+    section = {}
+    img = {}
+    for x in space.points:
+        q, d = cokernel(f.comp[x])
+        proj[x] = q
+        dims[x] = d
+        section[x] = right_inverse(q)
+        img[x] = image_basis(f.comp[x]).matrix
+    res = {}
+    for x in space.points:
+        for y in space.min_nbhd[x]:
+            if y == x:
+                continue
+            res[(x, y)] = induced_map(
+                f.target.restriction(x, y),
+                proj[x],
+                proj[y],
+                kernel=img[x],
+                section=section[x],
+            )
+    K = Sheaf(space, dims, res)
+    return K, SheafMap(f.target, K, proj)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cbsheaf.cli import main
-from cbsheaf.spaces import indiscrete_space, save_space, star_space
+from cbsheaf.spaces import indiscrete_space, save_space, sierpinski_space, star_space
 
 
 @pytest.fixture
@@ -87,6 +87,57 @@ class TestCategoryDim:
     def test_non_scattered_bounds(self, capsys, indiscrete_file):
         code, out, _ = run(capsys, "category-dim", "--space", indiscrete_file)
         assert code == 0 and "bounds" in out and "unbounded" in out
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_max_len(self, capsys, tmp_path, value):
+        # on a in U_b the answer is exact 1; clamped to one term, the scan reports bounds 0..1
+        path = tmp_path / "sierpinski.json"
+        save_space(sierpinski_space(), path)
+        code, out, err = run(capsys, "category-dim", "--space", str(path), "--max-len", value)
+        assert code == 1 and out == "" and err == "error: max_len must be >= 1\n"
+        code, out, _ = run(capsys, "category-dim", "--space", str(path), "--max-len", "2")
+        assert code == 0 and "injective dimension: 1" in out
+
+    def test_negative_random_sheaves(self, capsys, star_file):
+        code, _, err = run(capsys, "category-dim", "--space", star_file, "--random-sheaves", "-1")
+        assert code == 1 and err == "error: random_sheaves must be >= 0\n"
+
+
+class TestMalformedInput:
+    """Each malformed document exits 1 with one error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"points": 5},
+            ["a"],
+            {"points": ["a"], "min_nbhd": {"a": 7}},
+            {"points": ["a"], "min_nbhd": ["a"]},
+            {"points": ["a"], "opens": [[], 3]},
+        ],
+    )
+    def test_space_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "rank", "--space", str(path))
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"stalk_dims": {"a": None}},
+            {"stalk_dims": {"a": 1, "b": 1}, "res": {"b->a": 7}},
+            [1, 2],
+            {"stalk_dims": [1]},
+            {"stalk_dims": {"a": 1, "b": 1}, "res": {"b->a": [1]}},
+        ],
+    )
+    def test_sheaf_document(self, capsys, tmp_path, doc):
+        space_path, sheaf_path = tmp_path / "space.json", tmp_path / "sheaf.json"
+        save_space(sierpinski_space(), space_path)
+        sheaf_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "resolve", "--space", str(space_path), "--sheaf", str(sheaf_path))
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestModel:

@@ -196,6 +196,17 @@ class TestInjectiveDimensionBounds:
 
 
 class TestCategoryDimension:
+    def test_rejects_bad_max_len(self):
+        s = sierpinski_space()
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_len must be >= 1"):
+                category_dimension(s, max_len=bad)
+            with pytest.raises(ValueError, match="max_len must be >= 1"):
+                injective_dimension_bounds(constant_sheaf(s, 1), max_len=bad)
+        with pytest.raises(ValueError, match="random_sheaves must be >= 0"):
+            category_dimension(s, random_sheaves=-1)
+        assert category_dimension(s, max_len=2).kind == "exact"
+
     def test_empty(self):
         v = category_dimension(empty_space())
         assert v.kind == "trivial_category"

@@ -15,6 +15,7 @@ from cbsheaf.godement import (
 from cbsheaf.sheaves import (
     constant_sheaf,
     random_sheaf,
+    sheaf_cokernel,
     simple_sheaf,
     skyscraper,
 )
@@ -25,7 +26,8 @@ from cbsheaf.spaces import (
     product,
     star_space,
 )
-from corpus import random_preorder_space
+from corpus import random_preorder_space, space_sheaf_corpus
+from oracle import three_elimination_sheaf_cokernel
 
 
 class TestC0:
@@ -161,6 +163,23 @@ class TestBuildResolution:
             for k in range(r.length):
                 assert terms[k] == r.terms[k].stalk_dim
                 assert cokers[k] == r.cokers[k].stalk_dim
+
+
+class TestCokernelTower:
+    def test_one_elimination_matches_three_elimination_oracle(self):
+        corpus = space_sheaf_corpus(20)
+        resolutions = [build_resolution(F, max_len) for _, F, max_len in corpus]
+        # the corpus must reach non-T0 clusters and truncated resolutions
+        assert any(len(s.point_class(x)) > 1 for s, _, _ in corpus for x in s.points)
+        assert not all(r.terminated for r in resolutions)
+        for i, r in enumerate(resolutions):
+            for k, unit in enumerate(r.units):
+                K, proj = sheaf_cokernel(unit)
+                K_ref, proj_ref = three_elimination_sheaf_cokernel(unit)
+                assert K.stalk_dim == K_ref.stalk_dim, (i, k)
+                assert K.res == K_ref.res, (i, k)
+                assert proj.comp == proj_ref.comp, (i, k)
+                assert K == r.cokers[k] and proj.comp == r.projections[k].comp, (i, k)
 
 
 class TestSupport:

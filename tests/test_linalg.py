@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbsheaf.extdim import _test_objects, hom_complex
+from cbsheaf.godement import build_resolution
 from cbsheaf.linalg import (
     RatMatrix,
     SubspacePresentation,
+    _cokernel_parts,
     cokernel,
     image_basis,
     induced_map,
@@ -18,6 +21,7 @@ from cbsheaf.linalg import (
     right_inverse,
     solve_matrix,
 )
+from corpus import space_sheaf_corpus
 
 
 def M(rows, cols=None):
@@ -34,6 +38,85 @@ def matrices(draw, max_dim=4):
             if draw(st.booleans()):
                 entries[(i, j)] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
     return RatMatrix(r, c, entries)
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None, max_dim=6):
+    """Non-unit denominators, whole zero rows and columns, and (half the time)
+    a product through a small inner dimension, so that rank drops."""
+    r = draw(st.integers(0, max_dim)) if rows is None else rows
+    c = draw(st.integers(0, max_dim)) if cols is None else cols
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        return draw(sparse_matrices(r, k)) @ draw(sparse_matrices(k, c))
+    zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0))))
+    entries = {}
+    for i in range(r):
+        for j in range(c):
+            if i not in zero_rows and j not in zero_cols and draw(st.booleans()):
+                entries[(i, j)] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+    return RatMatrix(r, c, entries)
+
+
+def assert_invariant(m):
+    """m stores only nonzero Fractions at in-bounds keys, as validation would."""
+    assert all(type(v) is Fraction and v for v in m.entries.values())
+    assert m == RatMatrix(m.rows, m.cols, m.entries)
+
+
+class TestLeanKernel:
+    @given(sparse_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_matches_rref(self, m):
+        assert rank(m) == len(rref(m)[1])
+
+    def test_rank_examples(self):
+        assert rank(RatMatrix.zeros(3, 4)) == 0
+        assert rank(M([["1/2", "1/3"], ["3/2", 1]])) == 1
+        assert rank(M([[0, 0, 0], [0, "2/7", 1], [0, 0, "-5/3"]])) == 2
+
+    @given(sparse_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_cokernel_parts(self, m):
+        q, s, img = _cokernel_parts(m)
+        assert (q @ img).is_zero()
+        assert q @ s == RatMatrix.identity(q.rows)
+        assert rank(img) == img.cols == rank(m)
+        assert (q, q.rows) == cokernel(m)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_internal_results_keep_invariant(self, data):
+        a = data.draw(sparse_matrices())
+        b = data.draw(sparse_matrices(rows=a.cols))
+        c = data.draw(sparse_matrices(rows=a.rows, cols=a.cols))
+        rows = data.draw(st.lists(st.integers(0, a.rows - 1), unique=True)) if a.rows else []
+        cols = data.draw(st.lists(st.integers(0, a.cols - 1), unique=True)) if a.cols else []
+        k = data.draw(st.integers(-3, 3))
+        results = [
+            a @ b, a + c, a - c, a - a, -a, a.scaled(k), a.transpose(),
+            a.take_rows(rows), a.take_columns(cols),
+            RatMatrix.hstack([a, c]), RatMatrix.vstack([a, c]), RatMatrix.identity(a.rows),
+            rref(a)[0], rref(a, force="dense")[0], kernel_basis(a).matrix, cokernel(a)[0],
+            *_cokernel_parts(a), solve_matrix(a, a @ b),
+        ]
+        for r in results:
+            assert_invariant(r)
+
+    def test_cancelling_sums_are_dropped(self):
+        assert (M([[1, 1]]) @ M([[1], [-1]])).nnz == 0
+        assert (M([[1, 2]]) + M([[-1, 3]])).entries == {(0, 1): Fraction(5)}
+
+    def test_resolution_matrices_keep_invariant(self):
+        for s, F, max_len in space_sheaf_corpus(6):
+            r = build_resolution(F, max_len)
+            # the C0 restrictions, the units and the alphas are built without checks
+            matrices = [m for term in r.terms for m in term.res.values()]
+            matrices += [m for unit in r.units for m in unit.comp.values()]
+            matrices += [a for _, T in _test_objects(s) for a in hom_complex(T, r).alphas]
+            for m in matrices:
+                assert_invariant(m)
 
 
 class TestRational:
