@@ -190,7 +190,7 @@ def cmd_ext(args) -> int:
     sheaf, label = _resolve_sheaf(args.sheaf, space)
     r = build_resolution(sheaf, args.max_len)
     report = ext_groups(sheaf, args.point, args.max_degree, resolution=r)
-    verdict = injective_dimension_bounds(sheaf, max_len=args.max_len)
+    verdict = injective_dimension_bounds(sheaf, max_len=args.max_len, resolution=r)
     doc = {
         "point": args.point,
         "sheaf": label,

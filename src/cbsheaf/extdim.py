@@ -14,17 +14,26 @@ Verdicts combine the structural upper bound (terms vanish past the
 Cantor-Bendixson rank) with witnesses found by scanning a family of test
 objects; a truncated non-terminating resolution only ever yields bounds,
 never an "infinite" claim.
+
+The scan is pruned exactly: a verdict reads only the final lower bound and
+the witness, the first (sheaf, test) pair whose top non-zero Ext degree
+exceeds the running lower bound, so once a witness exists only degrees in
+(lower, available] matter.  Resolution lengths are planned from projected
+dimensions (exact, as every serration unit is stalkwise injective); a sheaf
+with no such degree is not resolved, and a test searches them top down,
+building an alpha_k only when a non-zero degree needs its rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import RatMatrix, rank
 from .godement import GodementResolution, build_resolution, projected_term_dims
 from .sheaves import (
     Sheaf,
+    SheafMap,
     constant_sheaf,
     extend_along_mono,
     hom_basis_maps,
@@ -112,17 +121,46 @@ class DimensionVerdict:
         return cls("trivial_category", provenance=PROV_EMPTY)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "lower": self.lower,
-            "upper": self.upper,
-            "provenance": self.provenance,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 # -- complexes -------------------------------------------------------------------
+
+
+def _layout(T: Sheaf, sources: Sequence[Sheaf]) -> tuple[list[dict[str, int]], list[int]]:
+    """Coordinates of hom(T, C0(K)) for each K in sources: the offset of the
+    block Hom_Q(T_y, K[y]) at each point y, and the dimension of each degree."""
+    offsets, degrees = [], []
+    for K in sources:
+        off, total = {}, 0
+        for y in T.base.points:
+            off[y] = total
+            total += T.stalk_dim[y] * K.stalk_dim[y]
+        offsets.append(off)
+        degrees.append(total)
+    return offsets, degrees
+
+
+def _alpha(T: Sheaf, K: Sheaf, projection: SheafMap, offsets: list, degrees: list[int], k: int) -> RatMatrix:
+    """alpha_k from hom(T, C0(K)) to the next degree, K the k-th source, with
+    no elimination (see hom_complex)."""
+    space = T.base
+    dT = T.stalk_dim
+    entries = {}
+    for z in space.points:
+        if not dT[z]:
+            continue
+        # column of C^k[z] -> (first coordinate of that row of phi_y, T.res(z, y))
+        blocks = []
+        for y in space.nbhd_sorted(z):
+            res = T.res[(z, y)].entries.items() if y != z else [((i, i), 1) for i in range(dT[z])]
+            blocks.extend((offsets[k][y] + c * dT[y], res) for c in range(K.stalk_dim[y]))
+        for (a, col), p in projection.comp[z].entries.items():
+            col0, res = blocks[col]
+            row0 = offsets[k + 1][z] + a * dT[z]
+            for (d, b), v in res:
+                entries[(row0 + b, col0 + d)] = p * v
+    return RatMatrix._trusted(degrees[k + 1], degrees[k], entries)
 
 
 def hom_complex(T: Sheaf, r: GodementResolution, point: str | None = None) -> ExtComplex:
@@ -137,37 +175,9 @@ def hom_complex(T: Sheaf, r: GodementResolution, point: str | None = None) -> Ex
     of the unit into C^(k+1) is the identity at z, so alpha_k sends (phi_y) to
     the family whose entry at z is projections[k].comp[z] applied to that stack.
     """
-    space = T.base
-    dT = T.stalk_dim
     sources = [r.sheaf] + r.cokers[: r.length - 1]
-    offsets = []
-    degrees = []
-    for K in sources:
-        off = {}
-        total = 0
-        for y in space.points:
-            off[y] = total
-            total += dT[y] * K.stalk_dim[y]
-        offsets.append(off)
-        degrees.append(total)
-    alphas = []
-    for k in range(r.length - 1):
-        K = sources[k]
-        entries = {}
-        for z in space.points:
-            if not dT[z]:
-                continue
-            # column of C^k[z] -> (first coordinate of that row of phi_y, T.res(z, y))
-            blocks = []
-            for y in space.nbhd_sorted(z):
-                res = T.restriction(z, y).entries.items()
-                blocks.extend((offsets[k][y] + c * dT[y], res) for c in range(K.stalk_dim[y]))
-            for (a, col), p in r.projections[k].comp[z].entries.items():
-                col0, res = blocks[col]
-                row0 = offsets[k + 1][z] + a * dT[z]
-                for (d, b), v in res:
-                    entries[(row0 + b, col0 + d)] = p * v
-        alphas.append(RatMatrix._trusted(degrees[k + 1], degrees[k], entries))
+    offsets, degrees = _layout(T, sources)
+    alphas = [_alpha(T, sources[k], r.projections[k], offsets, degrees, k) for k in range(r.length - 1)]
     return ExtComplex(point, degrees, alphas)
 
 
@@ -190,16 +200,8 @@ def ext_dims_of_complex(c: ExtComplex, terminated: bool, max_degree: int) -> dic
             f"insufficient resolution length: degree {max_degree} exceeds "
             f"available degree {length - 2} (resolution not terminated)"
         )
-    ranks = [rank(a) for a in c.alphas]
-    out = {}
-    for k in range(max_degree + 1):
-        if k >= length:
-            out[k] = 0
-            continue
-        r_next = ranks[k] if k < len(ranks) else 0
-        r_prev = ranks[k - 1] if k >= 1 else 0
-        out[k] = c.degrees[k] - r_next - r_prev
-    return out
+    ranks = [0] + [rank(a) for a in c.alphas] + [0]  # ranks[k + 1] is the rank of alpha_k
+    return {k: c.degrees[k] - ranks[k + 1] - ranks[k] if k < length else 0 for k in range(max_degree + 1)}
 
 
 def ext_groups(
@@ -223,37 +225,81 @@ def ext_groups(
 # -- dimension verdicts ------------------------------------------------------------
 
 
-def _test_objects(space: FiniteSpace, extra: Sequence[tuple[str, Sheaf]] = ()) -> list[tuple[str, Sheaf]]:
-    """Skyscrapers first (closed points by height, deepest first), then simples,
-    then the constant sheaf, then any extras."""
+def _deepest_first(space: FiniteSpace) -> list[str]:
+    """Points by height, deepest first (hull points deepest), then in point order."""
     hts = space.heights()
     big = len(space.points) + 1
+    return sorted(space.points, key=lambda x: (-hts.get(x, big), space.index(x)))
 
-    def depth(x: str) -> int:
-        return hts.get(x, big)  # hull points sort deepest
 
-    pts = sorted(space.points, key=lambda x: (not space.is_closed_point(x), -depth(x), space.index(x)))
+def _test_objects(space: FiniteSpace) -> list[tuple[str, Sheaf]]:
+    """Skyscrapers first (closed points by height, deepest first), then simples,
+    then the constant sheaf."""
+    pts = sorted(_deepest_first(space), key=lambda x: not space.is_closed_point(x))
     tests: list[tuple[str, Sheaf]] = [(f"skyscraper at {x}", skyscraper(space, x, 1)) for x in pts]
     for x in pts:
         if len(space.point_class(x)) == 1:
             tests.append((f"simple sheaf at {x}", simple_sheaf(space, x, 1)))
     tests.append(("constant sheaf", constant_sheaf(space, 1)))
-    tests.extend(extra)
     return tests
 
 
-def _resolution_cap(space: FiniteSpace, dims: Mapping[str, int], requested: int | None, stalk_cap: int) -> int:
-    """Longest resolution whose projected term stalks stay within stalk_cap."""
+def _resolution_cap(
+    space: FiniteSpace, dims: Mapping[str, int], requested: int | None, stalk_cap: int
+) -> tuple[int, bool]:
+    """Length of the longest resolution whose projected term stalks stay
+    within stalk_cap (at least one term), and whether it terminates."""
     if requested is not None and requested < 1:
         raise ValueError("max_len must be >= 1")
     limit = requested if requested is not None else len(space.points) + 2
-    terms, _ = projected_term_dims(space, dims, limit)
+    terms, cokers = projected_term_dims(space, dims, limit)
     length = 0
     for term in terms:
         if max(term.values(), default=0) > stalk_cap and length >= 1:
             break
         length += 1
-    return max(1, length)
+    return length, not any(cokers[length - 1].values())
+
+
+def _top_ext(T: Sheaf, sources: list[Sheaf], projections: list[SheafMap], available: int, stop: int):
+    """The highest k in [stop, available] with Ext^k(T, F) != 0 and its
+    dimension, or None; sources are F and the cokernels, one per degree."""
+    offsets, degrees = _layout(T, sources)
+    ranks = {-1: 0, len(sources) - 1: 0}  # rank of alpha_k, each built once
+    for k in range(available, stop - 1, -1):
+        if degrees[k]:
+            for j in (k, k - 1):
+                if j not in ranks:
+                    ranks[j] = rank(_alpha(T, sources[j], projections[j], offsets, degrees, j))
+            if d := degrees[k] - ranks[k] - ranks[k - 1]:
+                return k, d
+    return None
+
+
+def _scan(entries: Iterable[tuple], tests: Sequence[tuple[str, Sheaf]], upper: int | None) -> tuple[int, str | None]:
+    """The lower bound and the witness over all (sheaf, test) pairs, in order,
+    stopping when lower reaches upper.  entries yields (label, F, L,
+    terminated, r): F's planned resolution and None or a resolution of F
+    with at least max(1, L - 1) steps.  See the module docstring."""
+    lower, witness = 0, None
+    for f_label, F, length, terminated, r in entries:
+        available = length - 1 if terminated else length - 2
+        if (lower + 1 if witness is not None else 0) > available:
+            continue
+        # the closed form reads cokers and projections up to step L - 2
+        r = r or build_resolution(F, max(1, length - 1))
+        sources = [F] + r.cokers[: length - 1]
+        for t_label, T in tests:
+            stop = lower + 1 if witness is not None else 0
+            if stop > available:
+                break
+            top = _top_ext(T, sources, r.projections, available, stop)
+            if top is not None:
+                lower, d = top  # top >= stop, so lower never falls
+                witness = f"Ext^{lower}({t_label}, {f_label}) has dimension {d}"
+            if upper is not None and lower == upper:
+                return lower, witness
+    return lower, witness
 
 
 def injective_dimension_bounds(
@@ -261,36 +307,28 @@ def injective_dimension_bounds(
     *,
     max_len: int | None = None,
     stalk_cap: int = 600,
-    extra_tests: Sequence[tuple[str, Sheaf]] = (),
-    short_circuit: bool = True,
+    resolution: GodementResolution | None = None,
 ) -> DimensionVerdict:
     """Bound the injective dimension of F from its Godement resolution.
 
     Upper bound: the terminated length minus one (unbounded when the
     resolution does not terminate), refined to zero when the unit splits and
     F is therefore itself injective.  Lower bound: the highest degree with a
-    non-vanishing Ext group over the test family.
+    non-vanishing Ext group over the test family.  A given resolution of F
+    is read, not rebuilt.
     """
     space = F.base
-    cap = _resolution_cap(space, F.stalk_dim, max_len, stalk_cap)
-    r = build_resolution(F, cap)
-    upper = r.length - 1 if r.terminated else None
-    if upper != 0 and extend_along_mono(r.units[0], identity_map(F)) is not None:
+    length, terminated = _resolution_cap(space, F.stalk_dim, max_len, stalk_cap)
+    steps = max(1, length - 1)
+    if resolution is None:
+        resolution = build_resolution(F, steps)
+    elif resolution.length < steps:
+        raise ValueError(f"the resolution has {resolution.length} terms; the scan reads {steps}")
+    upper = length - 1 if terminated else None
+    if upper != 0 and extend_along_mono(resolution.units[0], identity_map(F)) is not None:
         # the unit splits, so F is a direct summand of an injective sheaf
         upper = 0
-    available = r.length - 1 if r.terminated else r.length - 2
-    lower = 0
-    witness = None
-    if available >= 0:
-        for label, T in _test_objects(space, extra_tests):
-            c = hom_complex(T, r)
-            dims = ext_dims_of_complex(c, r.terminated, available)
-            top = max((k for k, d in dims.items() if d), default=None)
-            if top is not None and (top > lower or witness is None):
-                lower = max(lower, top)
-                witness = f"Ext^{top}({label}, F) has dimension {dims[top]}"
-            if short_circuit and upper is not None and lower == upper:
-                break
+    lower, witness = _scan([("F", F, length, terminated, resolution)], _test_objects(space), upper)
     if upper is not None and lower == upper:
         return DimensionVerdict.exact(upper, PROV_GODEMENT, witness)
     prov = PROV_GODEMENT if upper is not None else f"{PROV_GODEMENT} (truncated); {CONJ_PERFECT_HULL} open"
@@ -320,42 +358,17 @@ def category_dimension(
         raise ValueError("max_len must be >= 1")
     if not space.points:
         return DimensionVerdict.trivial_category()
-    scattered_part, hull = space.decompose()
-    rank_cb = space.cb_rank()
-    scattered = not hull
-    upper = rank_cb - 1 if scattered else None
-
-    scan: list[tuple[str, Sheaf]] = [("constant sheaf", constant_sheaf(space, 1))]
-    hts = space.heights()
-    big = len(space.points) + 1
-    pts = sorted(space.points, key=lambda x: (-(hts.get(x, big)), space.index(x)))
-    scan.extend((f"skyscraper at {x}", skyscraper(space, x, 1)) for x in pts)
-    scan.extend(
-        (f"simple sheaf at {x}", simple_sheaf(space, x, 1))
-        for x in pts
-        if len(space.point_class(x)) == 1
-    )
+    upper = space.cb_rank() - 1 if space.is_scattered() else None
+    tests = _test_objects(space)
+    objects = dict(tests)
+    pts = _deepest_first(space)
+    labels = ["constant sheaf"] + [f"skyscraper at {x}" for x in pts]
+    labels += [f"simple sheaf at {x}" for x in pts if len(space.point_class(x)) == 1]
+    scan = [(label, objects[label]) for label in labels]
     for i in range(random_sheaves):
         scan.append((f"random sheaf (seed {seed + i})", random_sheaf(space, max_random_dim, seed + i)))
-
-    tests = _test_objects(space)
-    lower = 0
-    witness = None
-    for f_label, F in scan:
-        cap = _resolution_cap(space, F.stalk_dim, max_len, stalk_cap)
-        r = build_resolution(F, cap)
-        available = r.length - 1 if r.terminated else r.length - 2
-        if available < 0:
-            continue
-        for t_label, T in tests:
-            c = hom_complex(T, r)
-            dims = ext_dims_of_complex(c, r.terminated, available)
-            top = max((k for k, d in dims.items() if d), default=None)
-            if top is not None and (top > lower or witness is None):
-                lower = max(lower, top)
-                witness = f"Ext^{top}({t_label}, {f_label}) has dimension {dims[top]}"
-            if upper is not None and lower == upper:
-                return DimensionVerdict.exact(upper, f"{PROV_SUPPORT_BOUND}; witness found", witness)
+    plans = ((label, F, *_resolution_cap(space, F.stalk_dim, max_len, stalk_cap), None) for label, F in scan)
+    lower, witness = _scan(plans, tests, upper)
     if upper is not None:
         if lower == upper:
             return DimensionVerdict.exact(upper, f"{PROV_SUPPORT_BOUND}; witness found", witness)

@@ -551,11 +551,17 @@ def sheaf_from_json(space: FiniteSpace, doc: Mapping) -> Sheaf:
     dims = _json(_json(doc, dict, "sheaf document").get("stalk_dims", {}), dict, "'stalk_dims'")
     if not all(type(d) is int for d in dims.values()):
         raise ValueError("'stalk_dims' must map each point to an integer")
+    unknown = sorted(dims.keys() - space.min_nbhd.keys())
+    if unknown:
+        raise ValueError(f"unknown point {unknown[0]!r} in 'stalk_dims'")
     res = {}
     for key, rows in _json(doc.get("res", {}), dict, "'res'").items():
         if "->" not in key:
             raise ValueError(f"bad restriction key: {key!r}")
         x, y = key.split("->", 1)
+        unknown = sorted({x, y} - space.min_nbhd.keys())
+        if unknown:
+            raise ValueError(f"unknown point {unknown[0]!r} in restriction {key!r}")
         rows = [_json(row, list, f"a row of {key!r}") for row in _json(rows, list, f"restriction {key!r}")]
         m = RatMatrix.from_rows(rows, cols=dims.get(x, 0))
         if x == y:

@@ -37,13 +37,14 @@ def random_space_with_rank(rng, max_points, min_rank=1):
             return s
 
 
-def adaptive_max_len(space, stalk_dims, stalk_cap=60):
-    """Longest resolution whose projected term stalks stay below the cap.
+def adaptive_max_len(space, stalk_dims, stalk_cap=60, max_len=None):
+    """Longest resolution of at most max_len terms (default: points + 2)
+    whose projected term stalks stay below the cap.
 
     Keeps non-terminating towers on non-T0 clusters from blowing up the
     corpus runs; the projection is exact, so nothing is built twice.
     """
-    limit = len(space.points) + 2
+    limit = max_len if max_len is not None else len(space.points) + 2
     terms, _ = projected_term_dims(space, stalk_dims, limit)
     length = 0
     for term in terms:

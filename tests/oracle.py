@@ -1,8 +1,30 @@
 """Reference paths that the library's fast constructions are checked against."""
 
-from cbsheaf.extdim import ExtComplex
+from cbsheaf.extdim import (
+    CONJ_PERFECT_HULL,
+    PROV_GODEMENT,
+    PROV_SUPPORT_BOUND,
+    DimensionVerdict,
+    ExtComplex,
+    _test_objects,
+    ext_dims_of_complex,
+    hom_complex,
+)
+from cbsheaf.godement import build_resolution
 from cbsheaf.linalg import RatMatrix, cokernel, image_basis, induced_map, right_inverse, solve_matrix
-from cbsheaf.sheaves import Sheaf, SheafMap, hom_basis_maps, map_to_vector
+from cbsheaf.sheaves import (
+    Sheaf,
+    SheafMap,
+    constant_sheaf,
+    extend_along_mono,
+    hom_basis_maps,
+    identity_map,
+    map_to_vector,
+    random_sheaf,
+    simple_sheaf,
+    skyscraper,
+)
+from corpus import adaptive_max_len
 
 
 def generic_hom_complex(T, r, point=None):
@@ -79,3 +101,67 @@ def three_elimination_sheaf_cokernel(f):
             )
     K = Sheaf(space, dims, res)
     return K, SheafMap(f.target, K, proj)
+
+
+def _full_scan(resolved, tests, upper):
+    """Every (sheaf, test) pair in order, each with its whole hom complex and
+    every Ext degree, until lower reaches upper."""
+    lower = 0
+    witness = None
+    for f_label, r in resolved:
+        available = r.length - 1 if r.terminated else r.length - 2
+        if available < 0:
+            continue
+        for t_label, T in tests:
+            dims = ext_dims_of_complex(hom_complex(T, r), r.terminated, available)
+            top = max((k for k, d in dims.items() if d), default=None)
+            if top is not None and (top > lower or witness is None):
+                lower = max(lower, top)
+                witness = f"Ext^{top}({t_label}, {f_label}) has dimension {dims[top]}"
+            if upper is not None and lower == upper:
+                return lower, witness
+    return lower, witness
+
+
+def full_scan_bounds(F, *, max_len=None, stalk_cap=600):
+    """injective_dimension_bounds from the whole capped resolution, scanning
+    every test object's full hom complex."""
+    space = F.base
+    r = build_resolution(F, adaptive_max_len(space, F.stalk_dim, stalk_cap, max_len))
+    upper = r.length - 1 if r.terminated else None
+    if upper != 0 and extend_along_mono(r.units[0], identity_map(F)) is not None:
+        upper = 0
+    lower, witness = _full_scan([("F", r)], _test_objects(space), upper)
+    if upper is not None and lower == upper:
+        return DimensionVerdict.exact(upper, PROV_GODEMENT, witness)
+    prov = PROV_GODEMENT if upper is not None else f"{PROV_GODEMENT} (truncated); {CONJ_PERFECT_HULL} open"
+    return DimensionVerdict.bounds(lower, upper, prov, witness)
+
+
+def full_scan_category(space, *, max_len=None, stalk_cap=600, random_sheaves=0, max_random_dim=2, seed=0):
+    """category_dimension resolving every scanned sheaf in full and scanning
+    every (sheaf, test) pair's full hom complex."""
+    if not space.points:
+        return DimensionVerdict.trivial_category()
+    _, hull = space.decompose()
+    upper = space.cb_rank() - 1 if not hull else None
+    hts = space.heights()
+    big = len(space.points) + 1
+    pts = sorted(space.points, key=lambda x: (-(hts.get(x, big)), space.index(x)))
+    scan = [("constant sheaf", constant_sheaf(space, 1))]
+    scan += [(f"skyscraper at {x}", skyscraper(space, x, 1)) for x in pts]
+    scan += [(f"simple sheaf at {x}", simple_sheaf(space, x, 1)) for x in pts if len(space.point_class(x)) == 1]
+    scan += [
+        (f"random sheaf (seed {seed + i})", random_sheaf(space, max_random_dim, seed + i))
+        for i in range(random_sheaves)
+    ]
+    resolved = (
+        (label, build_resolution(F, adaptive_max_len(space, F.stalk_dim, stalk_cap, max_len)))
+        for label, F in scan
+    )
+    lower, witness = _full_scan(resolved, _test_objects(space), upper)
+    if upper is not None:
+        if lower == upper:
+            return DimensionVerdict.exact(upper, f"{PROV_SUPPORT_BOUND}; witness found", witness)
+        return DimensionVerdict.bounds(lower, upper, PROV_SUPPORT_BOUND, witness)
+    return DimensionVerdict.bounds(lower, None, f"non-terminating resolutions; {CONJ_PERFECT_HULL} open", witness)

@@ -140,6 +140,21 @@ class TestMalformedInput:
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"stalk_dims": {"zz": 3, "a": 1}},
+            {"stalk_dims": {"a": 1}, "res": {"zz->zz": []}},
+        ],
+    )
+    def test_unknown_point_in_sheaf_document(self, capsys, tmp_path, doc):
+        space_path, sheaf_path = tmp_path / "space.json", tmp_path / "sheaf.json"
+        save_space(sierpinski_space(), space_path)
+        sheaf_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "resolve", "--space", str(space_path), "--sheaf", str(sheaf_path))
+        assert code == 1 and err.startswith("error: unknown point 'zz'") and err.count("\n") == 1
+
+
 class TestModel:
     def test_model_rank_loop(self, capsys, tmp_path):
         out_file = str(tmp_path / "m.json")

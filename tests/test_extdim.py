@@ -6,6 +6,7 @@ from cbsheaf.extdim import (
     CONJ_PERFECT_HULL,
     DimensionVerdict,
     THM_SCATTERED,
+    _resolution_cap,
     _test_objects,
     category_dimension,
     ext_dims_of_complex,
@@ -16,6 +17,7 @@ from cbsheaf.extdim import (
     injective_dimension_bounds,
 )
 from cbsheaf.godement import build_resolution
+from cbsheaf.profinite import finite_model, parse_expr
 from cbsheaf.linalg import RatMatrix, rank
 from cbsheaf.sheaves import constant_sheaf, random_sheaf, skyscraper
 from cbsheaf.spaces import (
@@ -28,7 +30,7 @@ from cbsheaf.spaces import (
     star_space,
 )
 from corpus import random_preorder_space, space_sheaf_corpus
-from oracle import adjunction_coordinates, generic_hom_complex
+from oracle import adjunction_coordinates, full_scan_bounds, full_scan_category, generic_hom_complex
 
 
 class TestHomIntoResolution:
@@ -236,6 +238,70 @@ class TestCategoryDimension:
         more = category_dimension(s, random_sheaves=3, seed=1)
         assert more.kind == base.kind == "exact"
         assert more.n == base.n == 1
+
+
+class TestPrunedScan:
+    """The pruned scan against the full scan in tests/oracle.py: same verdict,
+    same witness, on non-T0, truncated and early-exit cases."""
+
+    # the corpus's own cap keeps non-terminating towers small; the small one
+    # cuts some corpus resolutions short
+    CAPS = (60, 8)
+
+    def test_plan_matches_built_resolution(self):
+        cut = 0
+        for s, F, _ in space_sheaf_corpus(20):
+            for max_len in (None, 1, 2):
+                for cap in self.CAPS:
+                    length, terminated = _resolution_cap(s, F.stalk_dim, max_len, cap)
+                    r = build_resolution(F, length)
+                    assert (r.length, r.terminated) == (length, terminated), (s.points, max_len, cap)
+                    cut += length < _resolution_cap(s, F.stalk_dim, max_len, 10**9)[0]
+        assert cut
+
+    def test_bounds_match_full_scan(self):
+        unbounded = 0
+        for i, (s, F, _) in enumerate(space_sheaf_corpus(20)):
+            for max_len in (None, 1, 2):
+                for cap in self.CAPS:
+                    expected = full_scan_bounds(F, max_len=max_len, stalk_cap=cap).to_json()
+                    got = injective_dimension_bounds(F, max_len=max_len, stalk_cap=cap)
+                    assert got.to_json() == expected, (i, max_len, cap)
+                    # a given resolution may be longer than the scan reads
+                    r = build_resolution(F, _resolution_cap(s, F.stalk_dim, max_len, cap)[0])
+                    given = injective_dimension_bounds(F, max_len=max_len, stalk_cap=cap, resolution=r)
+                    assert given.to_json() == expected, (i, max_len, cap)
+                    unbounded += expected["upper"] is None
+        assert unbounded
+
+    def test_rejects_short_resolution(self):
+        F = constant_sheaf(product(star_space(2), star_space(2)), 1)
+        with pytest.raises(ValueError, match="the scan reads 2"):
+            injective_dimension_bounds(F, resolution=build_resolution(F, 1))
+
+    def test_category_matches_full_scan(self):
+        corpus = space_sheaf_corpus(20)
+        # the corpus must reach non-T0 clusters
+        assert any(len(s.point_class(x)) > 1 for s, _, _ in corpus for x in s.points)
+        variants = [{}, {"max_len": 1}, {"max_len": 2}, {"random_sheaves": 2, "seed": 5}, {"stalk_cap": self.CAPS[1]}]
+        verdicts = {}
+        for i, (s, _, _) in enumerate(corpus):
+            for j, kwargs in enumerate(variants):
+                kwargs = {"stalk_cap": self.CAPS[0], **kwargs}
+                got = category_dimension(s, **kwargs).to_json()
+                assert got == full_scan_category(s, **kwargs).to_json(), (i, kwargs)
+                verdicts[i, j] = got
+        # the small stalk cap truncates enough to change some verdict
+        assert any(verdicts[i, 0] != verdicts[i, len(variants) - 1] for i in range(len(corpus)))
+
+    def test_category_early_exit_matches_full_scan(self):
+        # branch-rich models reach lower == upper before the scan ends
+        for text in ("P", "P^2", "D(3)*P", "P+P^2"):
+            for b in (2, 3):
+                m = finite_model(parse_expr(text), b)
+                v = category_dimension(m)
+                assert v.kind == "exact" and v.witness, (text, b)
+                assert v.to_json() == full_scan_category(m).to_json(), (text, b)
 
 
 class TestHomCokernelCheck:
