@@ -22,16 +22,25 @@ exceeds the running lower bound, so once a witness exists only degrees in
 dimensions (exact, as every serration unit is stalkwise injective); a sheaf
 with no such degree is not resolved, and a test searches them top down,
 building an alpha_k only when a non-zero degree needs its rank.
+
+Skipped exactly: a skyscraper (i_x)_*Q is injective (hom(G, (i_x)_*Q) =
+Hom_Q(G_x, Q) is exact in G), so its Ext vanishes above degree 0 and, once a
+witness exists, it is skipped unplanned.  A later copy of an earlier sheaf
+finds the same Ext above a bound that has not fallen, so only first copies
+are listed: one skyscraper per point class, no simple sheaf at a closed point
+x (the skyscraper at x), no constant test sheaf where a skyscraper has full
+support.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import RatMatrix, rank
 from .godement import GodementResolution, build_resolution, projected_term_dims
 from .sheaves import (
+    _ABSENT,
     Sheaf,
     SheafMap,
     constant_sheaf,
@@ -153,7 +162,7 @@ def _alpha(T: Sheaf, K: Sheaf, projection: SheafMap, offsets: list, degrees: lis
         # column of C^k[z] -> (first coordinate of that row of phi_y, T.res(z, y))
         blocks = []
         for y in space.nbhd_sorted(z):
-            res = T.res[(z, y)].entries.items() if y != z else [((i, i), 1) for i in range(dT[z])]
+            res = T.res.get((z, y), _ABSENT).entries.items() if y != z else [((i, i), 1) for i in range(dT[z])]
             blocks.extend((offsets[k][y] + c * dT[y], res) for c in range(K.stalk_dim[y]))
         for (a, col), p in projection.comp[z].entries.items():
             col0, res = blocks[col]
@@ -234,13 +243,15 @@ def _deepest_first(space: FiniteSpace) -> list[str]:
 
 def _test_objects(space: FiniteSpace) -> list[tuple[str, Sheaf]]:
     """Skyscrapers first (closed points by height, deepest first), then simples,
-    then the constant sheaf."""
+    then the constant sheaf, each distinct sheaf once (see the module docstring)."""
     pts = sorted(_deepest_first(space), key=lambda x: not space.is_closed_point(x))
-    tests: list[tuple[str, Sheaf]] = [(f"skyscraper at {x}", skyscraper(space, x, 1)) for x in pts]
+    firsts = [x for x in pts if x == min(space.point_class(x), key=space.index)]
+    tests = [(f"skyscraper at {x}", skyscraper(space, x, 1)) for x in firsts]
     for x in pts:
-        if len(space.point_class(x)) == 1:
+        if len(space.point_class(x)) == 1 and not space.is_closed_point(x):
             tests.append((f"simple sheaf at {x}", simple_sheaf(space, x, 1)))
-    tests.append(("constant sheaf", constant_sheaf(space, 1)))
+    if not any(all(T.stalk_dim.values()) for _, T in tests):
+        tests.append(("constant sheaf", constant_sheaf(space, 1)))
     return tests
 
 
@@ -276,13 +287,17 @@ def _top_ext(T: Sheaf, sources: list[Sheaf], projections: list[SheafMap], availa
     return None
 
 
-def _scan(entries: Iterable[tuple], tests: Sequence[tuple[str, Sheaf]], upper: int | None) -> tuple[int, str | None]:
+def _scan(entries: Iterable, tests: Sequence, upper: int | None, plan: Callable) -> tuple[int, str | None]:
     """The lower bound and the witness over all (sheaf, test) pairs, in order,
-    stopping when lower reaches upper.  entries yields (label, F, L,
-    terminated, r): F's planned resolution and None or a resolution of F
-    with at least max(1, L - 1) steps.  See the module docstring."""
+    stopping when lower reaches upper.  entries yields (label, F, injective);
+    plan(F) gives (L, terminated, r): F's planned resolution and None or a
+    resolution of F with at least max(1, L - 1) steps.  See the module
+    docstring."""
     lower, witness = 0, None
-    for f_label, F, length, terminated, r in entries:
+    for f_label, F, injective in entries:
+        if injective and witness is not None:
+            continue
+        length, terminated, r = plan(F)
         available = length - 1 if terminated else length - 2
         if (lower + 1 if witness is not None else 0) > available:
             continue
@@ -328,7 +343,7 @@ def injective_dimension_bounds(
     if upper != 0 and extend_along_mono(resolution.units[0], identity_map(F)) is not None:
         # the unit splits, so F is a direct summand of an injective sheaf
         upper = 0
-    lower, witness = _scan([("F", F, length, terminated, resolution)], _test_objects(space), upper)
+    lower, witness = _scan([("F", F, False)], _test_objects(space), upper, lambda _: (length, terminated, resolution))
     if upper is not None and lower == upper:
         return DimensionVerdict.exact(upper, PROV_GODEMENT, witness)
     prov = PROV_GODEMENT if upper is not None else f"{PROV_GODEMENT} (truncated); {CONJ_PERFECT_HULL} open"
@@ -347,10 +362,10 @@ def category_dimension(
     """The injective dimension of the whole category of sheaves on the space.
 
     Scattered spaces get the structural upper bound rank - 1; the lower bound
-    scans the constant sheaf, all skyscrapers, all simples, and optional
-    random sheaves, both as resolved objects and as test objects.  On a
-    non-scattered space only bounds are reported, with the perfect-hull case
-    recorded as conjectural.
+    scans the constant sheaf, the skyscrapers, the simples and optional
+    random sheaves as resolved objects, each distinct sheaf once, against
+    the test objects.  On a non-scattered space only bounds are reported,
+    with the perfect-hull case recorded as conjectural.
     """
     if random_sheaves < 0:
         raise ValueError("random_sheaves must be >= 0")
@@ -361,14 +376,20 @@ def category_dimension(
     upper = space.cb_rank() - 1 if space.is_scattered() else None
     tests = _test_objects(space)
     objects = dict(tests)
+    # the constant sheaf is scanned first under its own label; where the tests
+    # hold it as the skyscraper with full support, that skyscraper is its copy
+    constant = objects.get("constant sheaf") or next(T for T in objects.values() if all(T.stalk_dim.values()))
+    scan = [("constant sheaf", constant, False)]
     pts = _deepest_first(space)
-    labels = ["constant sheaf"] + [f"skyscraper at {x}" for x in pts]
-    labels += [f"simple sheaf at {x}" for x in pts if len(space.point_class(x)) == 1]
-    scan = [(label, objects[label]) for label in labels]
+    for kind, injective in (("skyscraper", True), ("simple sheaf", False)):
+        for x in pts:
+            F = objects.get(label := f"{kind} at {x}")
+            if F is not None and F is not constant:
+                scan.append((label, F, injective))
     for i in range(random_sheaves):
-        scan.append((f"random sheaf (seed {seed + i})", random_sheaf(space, max_random_dim, seed + i)))
-    plans = ((label, F, *_resolution_cap(space, F.stalk_dim, max_len, stalk_cap), None) for label, F in scan)
-    lower, witness = _scan(plans, tests, upper)
+        scan.append((f"random sheaf (seed {seed + i})", random_sheaf(space, max_random_dim, seed + i), False))
+    plan = lambda F: (*_resolution_cap(space, F.stalk_dim, max_len, stalk_cap), None)
+    lower, witness = _scan(scan, tests, upper, plan)
     if upper is not None:
         if lower == upper:
             return DimensionVerdict.exact(upper, f"{PROV_SUPPORT_BOUND}; witness found", witness)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .linalg import RatMatrix
-from .sheaves import Sheaf, SheafMap, direct_sum, is_constant, sheaf_cokernel, sheaf_to_json, skyscraper
+from .sheaves import _ABSENT, Sheaf, SheafMap, direct_sum, is_constant, sheaf_cokernel, sheaf_to_json, skyscraper
 from .spaces import CbFiltration, FiniteSpace, point_is_branch_rich
 
 
@@ -35,7 +35,7 @@ def _c0_with_unit(F: Sheaf) -> tuple[Sheaf, SheafMap]:
     res = {}
     for x in space.points:
         for z in space.min_nbhd[x]:
-            if z == x:
+            if z == x or not dims[z]:
                 continue
             entries = {}
             for y in space.nbhd_sorted(z):
@@ -50,7 +50,8 @@ def _c0_with_unit(F: Sheaf) -> tuple[Sheaf, SheafMap]:
         entries = {}
         for y in space.nbhd_sorted(x):
             off = layout[x][y]
-            for (i, j), v in F.restriction(x, y).entries.items():
+            m = F.res.get((x, y), _ABSENT) if y != x else RatMatrix.identity(F.stalk_dim[x])
+            for (i, j), v in m.entries.items():
                 entries[(off + i, j)] = v
         comp[x] = RatMatrix._trusted(dims[x], F.stalk_dim[x], entries)
     return C, SheafMap(F, C, comp)
@@ -152,18 +153,25 @@ def projected_term_dims(
     Because every serration unit is stalkwise injective, the cokernel
     dimensions satisfy K_(k+1)[x] = sum of K_k[y] over y in U_x minus K_k[x],
     with K_0 the input dimensions; term dimensions are neighborhood sums.
+    Both are non-zero only on the closure of supp K_k, and K_(k+1) only at
+    strict specializations of it, so the sums run over that closure alone.
     """
-    k = {x: stalk_dims.get(x, 0) for x in space.points}
-    terms = []
-    cokers = []
+    nbhd = space.min_nbhd
+    k = {x: d for x in space.points if (d := stalk_dims.get(x, 0))}
+    near = space.points
+    terms, cokers = [], []
     for _ in range(max_len):
-        term = {x: sum(k[y] for y in space.min_nbhd[x]) for x in space.points}
-        nxt = {x: term[x] - k[x] for x in space.points}
+        supp = set(k)
+        near = [x for x in near if not nbhd[x].isdisjoint(supp)]
+        term, nxt = dict.fromkeys(space.points, 0), dict.fromkeys(space.points, 0)
+        for x in near:
+            term[x] = sum(k[y] for y in nbhd[x] & supp)
+            nxt[x] = term[x] - k.get(x, 0)
         terms.append(term)
         cokers.append(nxt)
-        if all(v == 0 for v in nxt.values()):
+        k = {x: nxt[x] for x in near if nxt[x]}
+        if not k:
             break
-        k = nxt
     return terms, cokers
 
 

@@ -5,7 +5,9 @@ neighborhood containment: for y in U_x a matrix F_x -> F_y, with identity on
 x -> x and compatibility under composition (functoriality).  On a finite
 space this determines the sheaf completely; sections over general opens are
 derived, never stored.  Zero-dimensional stalks are kept explicitly so that
-indexing stays total.
+indexing stays total, but only the non-zero restrictions are stored: an
+absent pair y in U_x is the zero map, which restriction() builds on demand
+and loops that only read entries skip.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import RatMatrix, SubspacePresentation, _cokernel_parts, induced_map, kernel_basis, rank, solve_matrix
 from .spaces import FiniteSpace, _json
+
+# read in place of an absent restriction by loops that only read entries
+_ABSENT = RatMatrix.zeros(0, 0)
 
 
 class Sheaf:
@@ -38,29 +43,23 @@ class Sheaf:
             dims[x] = d
         self.stalk_dim = dims
         table: dict[tuple[str, str], RatMatrix] = {}
-        res = res or {}
-        for x in base.points:
-            for y in base.min_nbhd[x]:
-                if y == x:
-                    continue
-                m = res.get((x, y))
-                if m is None:
-                    m = RatMatrix.zeros(dims[y], dims[x])
-                if (m.rows, m.cols) != (dims[y], dims[x]):
-                    raise ValueError(f"restriction {x!r}->{y!r} has wrong shape")
+        for (x, y), m in (res or {}).items():
+            if x == y:
+                continue
+            if y not in base.min_nbhd.get(x, ()):
+                raise ValueError(f"restriction for invalid pair {(x, y)!r}")
+            if (m.rows, m.cols) != (dims[y], dims[x]):
+                raise ValueError(f"restriction {x!r}->{y!r} has wrong shape")
+            if not m.is_zero():
                 table[(x, y)] = m
-        for key in res:
-            if key not in table and key[0] != key[1]:
-                raise ValueError(f"restriction for invalid pair {key!r}")
         self.res = table
 
     def restriction(self, x: str, y: str) -> RatMatrix:
+        if y not in self.base.min_nbhd.get(x, ()):
+            raise ValueError(f"no restriction: {y!r} not in the minimal neighborhood of {x!r}")
         if x == y:
             return RatMatrix.identity(self.stalk_dim[x])
-        try:
-            return self.res[(x, y)]
-        except KeyError:
-            raise ValueError(f"no restriction: {y!r} not in the minimal neighborhood of {x!r}") from None
+        return self.res.get((x, y)) or RatMatrix.zeros(self.stalk_dim[y], self.stalk_dim[x])
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.stalk_dim.values())
@@ -169,20 +168,12 @@ def constant_sheaf(space: FiniteSpace, d: int = 1) -> Sheaf:
     """All stalks Q^d with identity restrictions."""
     if d < 0:
         raise ValueError("negative dimension")
-    res = {}
-    for x in space.points:
-        for y in space.min_nbhd[x]:
-            if y != x:
-                res[(x, y)] = RatMatrix.identity(d)
+    res = {(x, y): RatMatrix.identity(d) for x in space.points for y in space.min_nbhd[x] if y != x}
     return Sheaf(space, {x: d for x in space.points}, res)
 
 
 def is_constant(F: Sheaf) -> bool:
-    dims = set(F.stalk_dim.values())
-    if len(dims) > 1:
-        return False
-    d = dims.pop() if dims else 0
-    return all(m == RatMatrix.identity(d) for m in F.res.values())
+    return F == constant_sheaf(F.base, max(F.stalk_dim.values(), default=0))
 
 
 def skyscraper(space: FiniteSpace, x: str, d: int = 1) -> Sheaf:
@@ -192,11 +183,7 @@ def skyscraper(space: FiniteSpace, x: str, d: int = 1) -> Sheaf:
         raise ValueError("negative dimension")
     support = space.closure(x)
     dims = {y: (d if y in support else 0) for y in space.points}
-    res = {}
-    for y in space.points:
-        for z in space.min_nbhd[y]:
-            if z != y and y in support and z in support:
-                res[(y, z)] = RatMatrix.identity(d)
+    res = {(y, z): RatMatrix.identity(d) for y in support for z in space.min_nbhd[y] if z != y and z in support}
     return Sheaf(space, dims, res)
 
 
@@ -221,20 +208,15 @@ def direct_sum(space: FiniteSpace, summands: Sequence[Sheaf]) -> Sheaf:
         if s.base != space:
             raise ValueError("direct sum needs a common base")
     dims = {x: sum(s.stalk_dim[x] for s in summands) for x in space.points}
-    res = {}
-    for x in space.points:
-        for y in space.min_nbhd[x]:
-            if y == x:
-                continue
-            entries = {}
-            row_off = col_off = 0
-            for s in summands:
-                for (i, j), v in s.restriction(x, y).entries.items():
-                    entries[(row_off + i, col_off + j)] = v
-                row_off += s.stalk_dim[y]
-                col_off += s.stalk_dim[x]
-            res[(x, y)] = RatMatrix(dims[y], dims[x], entries)
-    return Sheaf(space, dims, res)
+    blocks: dict[tuple[str, str], dict] = {}
+    off = dict.fromkeys(space.points, 0)
+    for s in summands:
+        for (x, y), m in s.res.items():
+            block = blocks.setdefault((x, y), {})
+            for (i, j), v in m.entries.items():
+                block[(off[y] + i, off[x] + j)] = v
+        off = {x: off[x] + s.stalk_dim[x] for x in space.points}
+    return Sheaf(space, dims, {(x, y): RatMatrix(dims[y], dims[x], b) for (x, y), b in blocks.items()})
 
 
 # -- sections --------------------------------------------------------------------
@@ -260,8 +242,7 @@ def sections(F: Sheaf, U: Iterable[str]) -> SubspacePresentation:
         for y in space.nbhd_sorted(x):
             if y == x:
                 continue
-            m = F.restriction(x, y)
-            for (i, j), v in m.entries.items():
+            for (i, j), v in F.res.get((x, y), _ABSENT).entries.items():
                 rows[(nrows + i, offset[x] + j)] = v
             for i in range(F.stalk_dim[y]):
                 key = (nrows + i, offset[y] + i)
@@ -303,10 +284,9 @@ def sheaf_cokernel(f: SheafMap) -> tuple[Sheaf, SheafMap]:
     parts = {x: _cokernel_parts(f.comp[x]) for x in space.points}
     proj = {x: q for x, (q, _, _) in parts.items()}
     res = {}
-    for x, (q, section, img) in parts.items():
-        for y in space.min_nbhd[x]:
-            if y != x:
-                res[(x, y)] = induced_map(f.target.restriction(x, y), q, proj[y], kernel=img, section=section)
+    for (x, y), m in f.target.res.items():
+        q, section, img = parts[x]
+        res[(x, y)] = induced_map(m, q, proj[y], kernel=img, section=section)
     K = Sheaf(space, {x: q.rows for x, q in proj.items()}, res)
     return K, SheafMap(f.target, K, proj)
 
@@ -338,15 +318,13 @@ def hom_sheaves(F: Sheaf, G: Sheaf) -> SubspacePresentation:
             if y == x:
                 continue
             dFy, dGy = F.stalk_dim[y], G.stalk_dim[y]
-            gres = G.restriction(x, y)
-            fres = F.restriction(x, y)
             # rows indexed by (r, c) of the d_Gy x d_Fx matrix
             # G.res(x,y) phi_x - phi_y F.res(x,y) = 0
-            for (r, k), v in gres.entries.items():
+            for (r, k), v in G.res.get((x, y), _ABSENT).entries.items():
                 for c in range(dFx):
                     key = (nrows + r * dFx + c, offset[x] + k * dFx + c)
                     rows[key] = rows.get(key, 0) + v
-            for (l, c), v in fres.entries.items():
+            for (l, c), v in F.res.get((x, y), _ABSENT).entries.items():
                 for r in range(dGy):
                     key = (nrows + r * dFx + c, offset[y] + r * dFy + l)
                     rows[key] = rows.get(key, 0) - v
@@ -409,13 +387,11 @@ def extend_along_mono(mono: SheafMap, f: SheafMap) -> SheafMap | None:
             if y == x:
                 continue
             dBy, dTy = B.stalk_dim[y], T.stalk_dim[y]
-            tres = T.restriction(x, y)
-            bres = B.restriction(x, y)
-            for (r, k), v in tres.entries.items():
+            for (r, k), v in T.res.get((x, y), _ABSENT).entries.items():
                 for c in range(dBx):
                     key = (nrows + r * dBx + c, offset[x] + k * dBx + c)
                     rows[key] = rows.get(key, 0) + v
-            for (l, c), v in bres.entries.items():
+            for (l, c), v in B.res.get((x, y), _ABSENT).entries.items():
                 for r in range(dTy):
                     key = (nrows + r * dBx + c, offset[y] + r * dBy + l)
                     rows[key] = rows.get(key, 0) - v
@@ -537,13 +513,9 @@ def random_sheaf(space: FiniteSpace, max_dim: int, seed: int) -> Sheaf:
 
 
 def sheaf_to_json(F: Sheaf) -> dict:
-    res = {}
-    for (x, y), m in sorted(F.res.items()):
-        if not m.is_zero():
-            res[f"{x}->{y}"] = m.to_str_rows()
     return {
         "stalk_dims": {x: F.stalk_dim[x] for x in sorted(F.base.points)},
-        "res": res,
+        "res": {f"{x}->{y}": m.to_str_rows() for (x, y), m in sorted(F.res.items())},
     }
 
 

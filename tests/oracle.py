@@ -6,7 +6,6 @@ from cbsheaf.extdim import (
     PROV_SUPPORT_BOUND,
     DimensionVerdict,
     ExtComplex,
-    _test_objects,
     ext_dims_of_complex,
     hom_complex,
 )
@@ -103,6 +102,21 @@ def three_elimination_sheaf_cokernel(f):
     return K, SheafMap(f.target, K, proj)
 
 
+def full_test_objects(space):
+    """Every test object with its duplicates: a skyscraper at every point, a
+    simple sheaf at every point alone in its class, then the constant sheaf."""
+    pts = sorted(_deepest_first(space), key=lambda x: not space.is_closed_point(x))
+    tests = [(f"skyscraper at {x}", skyscraper(space, x, 1)) for x in pts]
+    tests += [(f"simple sheaf at {x}", simple_sheaf(space, x, 1)) for x in pts if len(space.point_class(x)) == 1]
+    return tests + [("constant sheaf", constant_sheaf(space, 1))]
+
+
+def _deepest_first(space):
+    hts = space.heights()
+    big = len(space.points) + 1
+    return sorted(space.points, key=lambda x: (-(hts.get(x, big)), space.index(x)))
+
+
 def _full_scan(resolved, tests, upper):
     """Every (sheaf, test) pair in order, each with its whole hom complex and
     every Ext degree, until lower reaches upper."""
@@ -131,7 +145,7 @@ def full_scan_bounds(F, *, max_len=None, stalk_cap=600):
     upper = r.length - 1 if r.terminated else None
     if upper != 0 and extend_along_mono(r.units[0], identity_map(F)) is not None:
         upper = 0
-    lower, witness = _full_scan([("F", r)], _test_objects(space), upper)
+    lower, witness = _full_scan([("F", r)], full_test_objects(space), upper)
     if upper is not None and lower == upper:
         return DimensionVerdict.exact(upper, PROV_GODEMENT, witness)
     prov = PROV_GODEMENT if upper is not None else f"{PROV_GODEMENT} (truncated); {CONJ_PERFECT_HULL} open"
@@ -145,9 +159,7 @@ def full_scan_category(space, *, max_len=None, stalk_cap=600, random_sheaves=0, 
         return DimensionVerdict.trivial_category()
     _, hull = space.decompose()
     upper = space.cb_rank() - 1 if not hull else None
-    hts = space.heights()
-    big = len(space.points) + 1
-    pts = sorted(space.points, key=lambda x: (-(hts.get(x, big)), space.index(x)))
+    pts = _deepest_first(space)
     scan = [("constant sheaf", constant_sheaf(space, 1))]
     scan += [(f"skyscraper at {x}", skyscraper(space, x, 1)) for x in pts]
     scan += [(f"simple sheaf at {x}", simple_sheaf(space, x, 1)) for x in pts if len(space.point_class(x)) == 1]
@@ -159,7 +171,7 @@ def full_scan_category(space, *, max_len=None, stalk_cap=600, random_sheaves=0, 
         (label, build_resolution(F, adaptive_max_len(space, F.stalk_dim, stalk_cap, max_len)))
         for label, F in scan
     )
-    lower, witness = _full_scan(resolved, _test_objects(space), upper)
+    lower, witness = _full_scan(resolved, full_test_objects(space), upper)
     if upper is not None:
         if lower == upper:
             return DimensionVerdict.exact(upper, f"{PROV_SUPPORT_BOUND}; witness found", witness)

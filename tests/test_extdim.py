@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cbsheaf import extdim
 from cbsheaf.extdim import (
     CONJ_PERFECT_HULL,
     DimensionVerdict,
@@ -21,6 +22,7 @@ from cbsheaf.profinite import finite_model, parse_expr
 from cbsheaf.linalg import RatMatrix, rank
 from cbsheaf.sheaves import constant_sheaf, random_sheaf, skyscraper
 from cbsheaf.spaces import (
+    chain_space,
     discrete_space,
     disjoint_union,
     empty_space,
@@ -240,6 +242,32 @@ class TestCategoryDimension:
         assert more.n == base.n == 1
 
 
+def record_scans(monkeypatch):
+    """Record every call of extdim._scan: its entries, the labels the loop
+    reached and the labels it planned."""
+    scans = []
+    scan = extdim._scan
+
+    def recording(entries, tests, upper, plan):
+        entries = list(entries)
+        reached, planned = [], []
+
+        def reach():
+            for entry in entries:
+                reached.append(entry[0])
+                yield entry
+
+        def recording_plan(F):
+            planned.append(next(label for label, G, _ in entries if G is F))
+            return plan(F)
+
+        scans.append({"entries": entries, "reached": reached, "planned": planned})
+        return scan(reach(), tests, upper, recording_plan)
+
+    monkeypatch.setattr(extdim, "_scan", recording)
+    return scans
+
+
 class TestPrunedScan:
     """The pruned scan against the full scan in tests/oracle.py: same verdict,
     same witness, on non-T0, truncated and early-exit cases."""
@@ -302,6 +330,74 @@ class TestPrunedScan:
                 v = category_dimension(m)
                 assert v.kind == "exact" and v.witness, (text, b)
                 assert v.to_json() == full_scan_category(m).to_json(), (text, b)
+
+    # skipped sheaves: injective ones after a witness, and later copies of
+    # earlier ones
+    SPACES = [
+        star_space(3),
+        sierpinski_space(),
+        chain_space(3),
+        indiscrete_space(2),
+        disjoint_union(star_space(2), indiscrete_space(2)),
+        product(sierpinski_space(), star_space(2)),
+        product(indiscrete_space(2), chain_space(2)),
+        finite_model(parse_expr("P^2"), 2),
+    ]
+
+    def test_skips_match_full_scan(self, monkeypatch):
+        scans = record_scans(monkeypatch)
+        # the cases need a point whose closure is the whole space, and closed
+        # points that carry a simple sheaf
+        assert any(s.closure(x) == set(s.points) for s in self.SPACES for x in s.points)
+        assert any(s.is_closed_point(x) for s in self.SPACES for x in s.points)
+        variants = [{}, {"max_len": 2}, {"random_sheaves": 2, "seed": 3}, {"stalk_cap": 3}]
+        for i, s in enumerate(self.SPACES):
+            for kwargs in variants:
+                got = category_dimension(s, **kwargs).to_json()
+                assert got == full_scan_category(s, **kwargs).to_json(), (i, kwargs)
+        # skyscrapers are resolved while no witness exists and skipped after
+        planned = [
+            label in sc["planned"] for sc in scans for label, _, inj in sc["entries"] if inj and label in sc["reached"]
+        ]
+        assert any(planned) and not all(planned)
+
+    def test_capped_constant_leaves_witness_to_a_skyscraper(self, monkeypatch):
+        # the 4-branch P^3 shape, scaled down: the cap cuts the constant sheaf
+        # to one term, so it has no degree to read and the first skyscraper
+        # sets the witness; every later skyscraper is skipped unplanned
+        m = finite_model(parse_expr("P^2"), 3)
+        cap = 3
+        assert _resolution_cap(m, constant_sheaf(m, 1).stalk_dim, None, cap) == (1, False)
+        scans = record_scans(monkeypatch)
+        v = category_dimension(m, stalk_cap=cap)
+        assert v.to_json() == full_scan_category(m, stalk_cap=cap).to_json()
+        (sc,) = scans
+        planned_skyscrapers = [label for label in sc["planned"] if label.startswith("skyscraper")]
+        assert sc["planned"][0] == "constant sheaf"
+        assert planned_skyscrapers == [sc["entries"][1][0]]
+        assert sum(inj for _, _, inj in sc["entries"]) > 1
+
+    def test_no_equal_sheaves_in_tests_or_scan(self, monkeypatch):
+        scans = record_scans(monkeypatch)
+        for s, _, _ in space_sheaf_corpus(20):
+            category_dimension(s, stalk_cap=60)
+            for objects in (_test_objects(s), scans[-1]["entries"]):
+                sheaves = [entry[1] for entry in objects]
+                for i, F in enumerate(sheaves):
+                    assert all(F != G for G in sheaves[i + 1 :]), (s.points, objects[i][0])
+
+    def test_first_copies_keep_their_labels(self):
+        # sierpinski: the skyscraper at the closed point b is the simple there,
+        # and the skyscraper at a (closure {a, b}) is the constant sheaf
+        labels = [label for label, _ in _test_objects(sierpinski_space())]
+        assert labels == ["skyscraper at b", "skyscraper at a", "simple sheaf at a"]
+        labels = [label for label, _ in _test_objects(indiscrete_space(3))]
+        assert labels == ["skyscraper at q0"]
+
+    def test_p4_model_is_exact(self):
+        # 81 points: fast only while skyscrapers after the witness are skipped
+        v = category_dimension(finite_model(parse_expr("P^4"), 2))
+        assert (v.kind, v.n) == ("exact", 4)
 
 
 class TestHomCokernelCheck:

@@ -36,7 +36,7 @@ from cbsheaf.spaces import (
     sierpinski_space,
     star_space,
 )
-from corpus import random_preorder_space
+from corpus import random_preorder_space, space_sheaf_corpus
 
 
 def diamond_space():
@@ -101,6 +101,45 @@ class TestBuilders:
         s = sierpinski_space()
         with pytest.raises(ValueError, match="shape"):
             Sheaf(s, {"a": 1, "b": 1}, {("b", "a"): RatMatrix.identity(2)})
+
+
+class TestSparseStorage:
+    """Only non-zero restrictions are stored; an absent pair is the zero map."""
+
+    def test_absent_restriction_is_zero_of_right_shape(self):
+        F = Sheaf(star_space(2), {"c": 2, "l1": 3})
+        assert F.res == {}
+        assert F.restriction("c", "l1") == RatMatrix.zeros(3, 2)
+        assert F.restriction("c", "l2") == RatMatrix.zeros(0, 2)
+        assert F.restriction("c", "c") == RatMatrix.identity(2)
+
+    def test_pair_outside_nbhd_or_unknown_point_raises(self):
+        F = Sheaf(star_space(2), {"c": 2, "l1": 3})
+        for x, y in (("l1", "c"), ("l1", "l2"), ("zz", "c"), ("c", "zz"), ("zz", "zz")):
+            with pytest.raises(ValueError, match="no restriction"):
+                F.restriction(x, y)
+
+    def test_explicit_zero_restrictions_are_dropped(self):
+        s = star_space(2)
+        dims = {"c": 2, "l1": 3, "l2": 1}
+        explicit = Sheaf(s, dims, {("c", "l1"): RatMatrix.zeros(3, 2), ("c", "l2"): RatMatrix.zeros(1, 2)})
+        assert explicit.res == {}
+        assert explicit == Sheaf(s, dims)
+        assert sheaf_to_json(explicit) == sheaf_to_json(Sheaf(s, dims))
+
+    def test_is_constant_needs_every_restriction(self):
+        s = star_space(3)
+        F = constant_sheaf(s, 2)
+        assert is_constant(F)
+        res = dict(F.res)
+        del res[("c", "l2")]
+        assert not is_constant(Sheaf(s, F.stalk_dim, res))
+        assert is_constant(Sheaf(s, {}))
+
+    def test_json_round_trip_on_corpus(self):
+        for s, F, _ in space_sheaf_corpus(20):
+            assert sheaf_from_json(s, sheaf_to_json(F)) == F
+            assert all(not m.is_zero() for m in F.res.values())
 
 
 class TestValidation:
