@@ -5,11 +5,15 @@ with --format json.  Identical invocations produce byte-identical output:
 all randomness is seeded (default 0), bases are canonical, JSON keys sorted.
 Exit status is 0 whenever the computation completed (including flagged
 non-termination) and 1 on invalid input.
+
+`main(argv)` may be called repeatedly in one process: it builds its parser
+once, on the first call, and reuses it for every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -311,9 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state on the parser and every default is immutable,
+    # so one parser serves every call in the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command in ("rank", "decompose") and bool(args.expr) == bool(args.space):
         print("error: give exactly one of an expression or --space", file=sys.stderr)
         return 1

@@ -168,7 +168,8 @@ def constant_sheaf(space: FiniteSpace, d: int = 1) -> Sheaf:
     """All stalks Q^d with identity restrictions."""
     if d < 0:
         raise ValueError("negative dimension")
-    res = {(x, y): RatMatrix.identity(d) for x in space.points for y in space.min_nbhd[x] if y != x}
+    one = RatMatrix.identity(d)
+    res = {(x, y): one for x in space.points for y in space.min_nbhd[x] if y != x}
     return Sheaf(space, {x: d for x in space.points}, res)
 
 
@@ -183,7 +184,8 @@ def skyscraper(space: FiniteSpace, x: str, d: int = 1) -> Sheaf:
         raise ValueError("negative dimension")
     support = space.closure(x)
     dims = {y: (d if y in support else 0) for y in space.points}
-    res = {(y, z): RatMatrix.identity(d) for y in support for z in space.min_nbhd[y] if z != y and z in support}
+    one = RatMatrix.identity(d)
+    res = {(y, z): one for y in support for z in space.min_nbhd[y] if z != y and z in support}
     return Sheaf(space, dims, res)
 
 

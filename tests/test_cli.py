@@ -1,9 +1,20 @@
+import contextlib
+import io
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import cbsheaf
+from cbsheaf import cli
 from cbsheaf.cli import main
 from cbsheaf.spaces import indiscrete_space, save_space, sierpinski_space, star_space
+from corpus import random_preorder_space
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cbsheaf.__file__)))
 
 
 @pytest.fixture
@@ -268,3 +279,162 @@ class TestDecompose:
     def test_expression(self, capsys):
         code, out, _ = run(capsys, "decompose", "B")
         assert code == 0 and "perfect hull: non-empty" in out
+
+
+def fresh_parser_call(argv):
+    """Return code and stdout of argv run on a parser built for this call alone."""
+    args = cli.build_parser().parse_args(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = args.func(args)
+    return code, out.getvalue()
+
+
+def run_python(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.fixture
+def fresh_cache():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+class TestSharedParser:
+    """main builds its parser once per process and reuses it on every call."""
+
+    def test_twenty_calls_build_one_parser(self, capsys, monkeypatch, fresh_cache):
+        builds = []
+        real = cli.build_parser
+
+        def counting_build_parser():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for i in range(20):
+            code, out, _ = run(capsys, "rank", "P^3" if i % 2 else "P^2")
+            assert code == 0 and "rank: " in out
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import cbsheaf.cli\n"
+            "print(len(built), cbsheaf.cli._parser.cache_info().currsize)\n"
+        )
+        proc = run_python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_build_parser_returns_a_new_parser(self, fresh_cache):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+        assert cli._parser() is not cli.build_parser()
+
+    def test_format_and_out_do_not_leak(self, capsys, star_file, tmp_path, fresh_cache):
+        report = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "category-dim", "--space", star_file, "--format", "json", "--out", str(report)
+        )
+        assert code == 0 and json.loads(out) == json.loads(report.read_text())
+        report.unlink()
+        code, out, _ = run(capsys, "category-dim", "--space", star_file)
+        assert code == 0 and not report.exists()
+        assert out.startswith(f"space: {star_file} ")
+        assert (code, out) == fresh_parser_call(["category-dim", "--space", star_file])
+
+    def test_seed_does_not_leak(self, capsys, monkeypatch, star_file, fresh_cache):
+        seeds = []
+        real = cli.category_dimension
+
+        def recording(space, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(space, **kwargs)
+
+        monkeypatch.setattr(cli, "category_dimension", recording)
+        run(capsys, "category-dim", "--space", star_file, "--random-sheaves", "1", "--seed", "3")
+        run(capsys, "category-dim", "--space", star_file, "--random-sheaves", "1")
+        assert seeds == [3, 0]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["category-dim", "--space", "x.json", "--max-len", "abc"],
+            ["no-such-command"],
+            ["rank", "--bogus"],
+        ],
+    )
+    def test_usage_error_leaves_parser_intact(self, capsys, star_file, bad, fresh_cache):
+        good = ["category-dim", "--space", star_file, "--max-len", "3"]
+        first = run(capsys, *good)
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "usage: cbsheaf" in capsys.readouterr().err
+        assert run(capsys, *good) == first
+
+    def test_usage_error_as_first_call(self, capsys, star_file, fresh_cache):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "rank", "--space", star_file)
+        assert (code, out) == fresh_parser_call(["rank", "--space", star_file])
+
+    def test_interleaved_calls_match_fresh_parsers(self, capsys, star_file, tmp_path, fresh_cache):
+        spaces = [star_file]
+        for k in range(2):
+            path = tmp_path / f"corpus{k}.json"
+            save_space(random_preorder_space(random.Random(800 + k), 4, min_points=3), path)
+            spaces.append(str(path))
+        model_out = str(tmp_path / "model.json")
+        argvs = [
+            ["rank", "P^3"],
+            ["rank", "--space", star_file, "--format", "json"],
+            ["decompose", "B"],
+            ["dim", "P^2"],
+            ["dim", "E", "--format", "json"],
+            ["model", "P^2", "--branches", "3", "--out", model_out],
+            ["model", "F", "--surrogate"],
+            ["ext", "--space", star_file, "--point", "c"],
+            ["check", "--space", star_file, "--sheaf", "simple:l1"],
+        ]
+        for space in spaces:
+            argvs += [
+                ["rank", "--space", space],
+                ["decompose", "--space", space],
+                ["category-dim", "--space", space, "--max-len", "4"],
+                ["category-dim", "--space", space, "--max-len", "4", "--random-sheaves", "1", "--seed", "5"],
+                ["resolve", "--space", space, "--max-len", "3", "--format", "json"],
+                ["check", "--space", space, "--max-len", "4"],
+            ]
+        assert {argv[0] for argv in argvs} == {
+            "rank", "decompose", "dim", "category-dim", "model", "resolve", "ext", "check"
+        }
+        want = [fresh_parser_call(argv) for argv in argvs]
+        orders = [list(range(len(argvs))), list(reversed(range(len(argvs))))]
+        for seed in range(2):
+            order = list(range(len(argvs)))
+            random.Random(seed).shuffle(order)
+            orders.append(order)
+        for order in orders:
+            for i in order:
+                code, out, _ = run(capsys, *argvs[i])
+                assert (code, out) == want[i], argvs[i]
+
+    def test_module_entry_point(self):
+        proc = run_python("-m", "cbsheaf", "rank", "P^3")
+        assert proc.returncode == 0 and "rank: 4" in proc.stdout
+        proc = run_python("-m", "cbsheaf", "rank", "--bogus")
+        assert proc.returncode == 2 and proc.stderr.startswith("usage: cbsheaf")
